@@ -1,9 +1,8 @@
-//! The flag surface shared by every driver binary and by
-//! `ocelotc bench`.
+//! The flag surface of `ocelotc bench <driver>`.
 //!
 //! ```text
-//! <driver> [--jobs N] [--out DIR] [--runs N] [--seed N]
-//!          [--backend interp|compiled] [--traces] [--replay]
+//! ocelotc bench <driver> [--jobs N] [--out DIR] [--runs N] [--seed N]
+//!                        [--backend interp|compiled] [--traces] [--replay]
 //! ```
 //!
 //! Default flow: `collect` the sweep on `--jobs` workers, persist the
@@ -44,7 +43,7 @@ pub struct BenchArgs {
     /// `interp`).
     pub backend: ExecBackend,
     /// Middle-end optimization level for the compiled backend
-    /// (`--opt 0|1|2`, default `2`; ignored by the interpreter, which
+    /// (`--opt 0|2`, default `2`; ignored by the interpreter, which
     /// is always the unoptimized oracle).
     pub opt: OptLevel,
     /// Persist (or, with `--replay`, re-render) raw observation traces.
@@ -150,9 +149,8 @@ impl BenchArgs {
                     out.given.backend = true;
                 }
                 "--opt" => {
-                    let v = it.next().ok_or("--opt needs `0`, `1` or `2`")?;
-                    out.opt = OptLevel::parse(&v)
-                        .ok_or_else(|| format!("bad --opt value `{v}` (0|1|2)"))?;
+                    let v = it.next().ok_or("--opt needs a value")?;
+                    out.opt = OptLevel::parse_from("--opt", &v)?;
                     out.given.opt = true;
                 }
                 "--traces" => out.traces = true,
@@ -174,8 +172,8 @@ impl BenchArgs {
 fn usage(d: &Driver) -> String {
     format!(
         "{} — {}\n\n\
-         usage: {} [--jobs N] [--out DIR] [--runs N] [--seed N]\n\
-                     [--backend interp|compiled] [--opt 0|1|2]\n\
+         usage: ocelotc bench {} [--jobs N] [--out DIR] [--runs N] [--seed N]\n\
+                     [--backend interp|compiled] [--opt 0|2]\n\
                      [--traces] [--replay] [--trace-out PATH] [--metrics]\n\
                      [--force]\n\n\
          --jobs N    worker threads for the sweep (default: all cores)\n\
@@ -191,10 +189,10 @@ fn usage(d: &Driver) -> String {
                      compiled engine is faster, and the artifact records\n\
                      which one produced it\n\
          --opt L     middle-end optimization level for the compiled\n\
-                     engine: 0 (direct), 1 (const-prop + dead stores) or\n\
-                     2 (default; adds taint-free evaluation and check\n\
-                     elision); observable results are identical at every\n\
-                     level, so artifacts do not record it\n\
+                     engine: 0 (direct) or 2 (default; const-prop, dead\n\
+                     stores, taint-free evaluation and check elision);\n\
+                     observable results are identical at both levels, so\n\
+                     artifacts do not record it\n\
          --traces    also persist raw per-cell observation logs to\n\
                      <out>/{}_traces.json (uniform cell sweeps only) and\n\
                      append their summary; with --replay, re-render the\n\
@@ -289,12 +287,6 @@ pub fn replay_flag_conflicts(
         }
     }
     Ok(())
-}
-
-/// Entry point used by each `src/bin/` wrapper: parses
-/// `std::env::args()` and drives `driver_name`.
-pub fn main_for(driver_name: &str) -> ExitCode {
-    run_driver(driver_name, std::env::args().skip(1))
 }
 
 /// Runs one driver with the given (already split) flag list.
@@ -499,17 +491,19 @@ mod tests {
             OptLevel::O2,
             "full optimization is the default"
         );
-        for (flag, want) in [
-            ("0", OptLevel::O0),
-            ("1", OptLevel::O1),
-            ("2", OptLevel::O2),
-        ] {
+        for (flag, want) in [("0", OptLevel::O0), ("2", OptLevel::O2)] {
             let a = BenchArgs::parse(strings(&["--opt", flag])).unwrap();
             assert_eq!(a.opt, want);
         }
         assert!(BenchArgs::parse(strings(&["--opt"])).is_err());
-        assert!(BenchArgs::parse(strings(&["--opt", "3"])).is_err());
-        assert!(BenchArgs::parse(strings(&["--opt", "fast"])).is_err());
+        for bad in ["1", "3", "fast"] {
+            assert_eq!(
+                BenchArgs::parse(strings(&["--opt", bad])),
+                Err(format!(
+                    "invalid --opt value `{bad}`: accepted values are `0` or `2`"
+                ))
+            );
+        }
     }
 
     #[test]

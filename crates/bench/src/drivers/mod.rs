@@ -12,9 +12,8 @@
 //!   table/figure **purely from the artifact**, so `--replay` can
 //!   re-emit any artifact from disk without re-running a single cell.
 //!
-//! The registry ([`all`] / [`by_name`]) backs both the per-driver
-//! binaries in `src/bin/` and the `ocelotc bench` subcommand; the
-//! shared flag surface lives in [`crate::cli`].
+//! The registry ([`all`] / [`by_name`]) backs the `ocelotc bench`
+//! subcommand; its flag surface lives in [`crate::cli`].
 
 mod ablation;
 mod figures;
@@ -87,7 +86,8 @@ pub type CollectTraced = fn(&DriverOpts) -> (Artifact, Artifact);
 
 /// One registered driver.
 pub struct Driver {
-    /// Registry name — also the binary name and the artifact file stem.
+    /// Registry name — also the `ocelotc bench` argument and the
+    /// artifact file stem.
     pub name: &'static str,
     /// One-line description for `--list` output.
     pub about: &'static str,

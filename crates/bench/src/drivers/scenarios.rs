@@ -10,6 +10,7 @@
 
 use super::{cell_stats, collect_sim, collect_sim_traced, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
+use crate::fleet::add_stats;
 use crate::harness::{CellSpec, Workload};
 use crate::json::Json;
 use crate::report::Table;
@@ -76,7 +77,7 @@ fn collect_sweep_traced(opts: &DriverOpts) -> (Artifact, Artifact) {
 }
 
 /// Sums the stats of every cell matching (bench, scenario, model),
-/// across seeds. Counters are zipped in their fixed declaration order.
+/// across seeds.
 fn aggregate(a: &Artifact, bench: &str, scenario: &str, model: ExecModel) -> (Stats, u64) {
     let mut total = Stats::default();
     let mut cells = 0;
@@ -88,9 +89,7 @@ fn aggregate(a: &Artifact, bench: &str, scenario: &str, model: ExecModel) -> (St
             continue;
         }
         if let Ok(s) = cell_stats(c) {
-            for ((name, cur), (_, add)) in total.clone().counters().into_iter().zip(s.counters()) {
-                total.set_counter(name, cur + add);
-            }
+            add_stats(&mut total, &s);
             cells += 1;
         }
     }

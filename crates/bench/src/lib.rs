@@ -1,10 +1,10 @@
 //! # ocelot-bench
 //!
 //! The evaluation harness: everything needed to regenerate the paper's
-//! figures and tables, in parallel, with persisted results. One binary
-//! per artifact:
+//! figures and tables, in parallel, with persisted results. One driver
+//! per artifact, run as `ocelotc bench <driver>`:
 //!
-//! | Binary | Paper artifact |
+//! | Driver | Paper artifact |
 //! |---|---|
 //! | `table1` | Table 1 — benchmark characteristics |
 //! | `fig7` | Figure 7 — continuous-power runtimes (JIT / Atomics-only / Ocelot) |
@@ -23,14 +23,12 @@
 //! | `fleet` | extension — fleet-scale device sweep on one shared compiled program |
 //! | `serve` | extension — incremental re-verification latency over a recorded edit trace |
 //!
-//! Run them with `cargo run -p ocelot-bench --bin <name> --release`.
-//! Every binary accepts `--jobs N` (shard the sweep across a
+//! Every driver accepts `--jobs N` (shard the sweep across a
 //! hand-rolled work-stealing [`pool`]), `--out DIR` (persist a
 //! versioned JSON [`artifact`]), `--replay` (re-emit the table/figure
 //! purely from the persisted artifact), and — on uniform cell sweeps —
 //! `--traces` (persist the raw per-cell observation logs as a
 //! replayable [`traces`] artifact) — see `docs/bench.md` and [`cli`].
-//! The same drivers are reachable as `ocelotc bench <driver>`.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -155,11 +155,15 @@ fn steal_half<'a, T>(
     queues: &[JobDeque<'a, T>],
     me: usize,
 ) -> Option<VecDeque<(usize, Job<'a, T>)>> {
-    // Pick the fullest victim by a cheap scan; lengths may shift under
-    // us, which is fine — we re-check under the victim's lock.
-    let mut order: Vec<usize> = (0..queues.len()).filter(|&i| i != me).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(queues[i].lock().unwrap().len()));
-    for victim in order {
+    // Pick the fullest victim from one snapshot of the lengths; they may
+    // shift under us, which is fine — we re-check under the victim's
+    // lock. Sorting the snapshot (not live reads) keeps the order total.
+    let mut order: Vec<(usize, usize)> = (0..queues.len())
+        .filter(|&i| i != me)
+        .map(|i| (queues[i].lock().unwrap().len(), i))
+        .collect();
+    order.sort_by_key(|&(len, _)| std::cmp::Reverse(len));
+    for (_, victim) in order {
         let mut q = queues[victim].lock().unwrap();
         let len = q.len();
         if len == 0 {

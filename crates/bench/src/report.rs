@@ -1,5 +1,5 @@
 //! Plain-text table rendering and summary statistics for the
-//! figure/table harness binaries.
+//! figure/table drivers.
 
 /// Geometric mean of positive values; 0 for empty input.
 pub fn gmean(values: &[f64]) -> f64 {

@@ -557,7 +557,7 @@ impl<'p> Cx<'_, 'p> {
     /// the non-volatile fallback, which a later run could read.
     fn store_src(&self, f: &'p Function, label: Label, var: &str, src: &'p Expr) -> CExpr<'p> {
         let facts = self.facts(f);
-        if self.m.opt >= OptLevel::O1
+        if self.m.opt != OptLevel::O0
             && facts.dead_defs.contains(&label)
             && facts.always_bound.contains(var)
         {
@@ -861,7 +861,7 @@ impl<'p> Cx<'_, 'p> {
                 else_bb,
             } => {
                 let c = self.expr(f, label, cond);
-                if let (true, CExpr::Const(k)) = (self.m.opt >= OptLevel::O1, &c) {
+                if let (true, CExpr::Const(k)) = (self.m.opt != OptLevel::O0, &c) {
                     Action::Jump(if *k != 0 { *then_bb } else { *else_bb })
                 } else {
                     Action::Branch {
@@ -891,7 +891,7 @@ impl<'p> Cx<'_, 'p> {
                 // SSA constant propagation: a use reached only by one
                 // constant-valued def (whose taint is provably pure)
                 // reads the literal directly.
-                if self.m.opt >= OptLevel::O1 {
+                if self.m.opt != OptLevel::O0 {
                     if let Some(k) = self.facts(f).const_uses.get(&(label, x.clone())) {
                         return CExpr::Const(*k);
                     }
@@ -919,7 +919,7 @@ impl<'p> Cx<'_, 'p> {
             Expr::Binary(op, l, r) => {
                 let (lc, rc) = (self.expr(f, label, l), self.expr(f, label, r));
                 if let (true, CExpr::Const(a), CExpr::Const(b)) =
-                    (self.m.opt >= OptLevel::O1, &lc, &rc)
+                    (self.m.opt != OptLevel::O0, &lc, &rc)
                 {
                     return CExpr::Const(eval_binop(*op, *a, *b));
                 }
@@ -927,7 +927,7 @@ impl<'p> Cx<'_, 'p> {
             }
             Expr::Unary(op, x) => {
                 let xc = self.expr(f, label, x);
-                if let (true, CExpr::Const(a)) = (self.m.opt >= OptLevel::O1, &xc) {
+                if let (true, CExpr::Const(a)) = (self.m.opt != OptLevel::O0, &xc) {
                     return CExpr::Const(match op {
                         UnOp::Neg => a.wrapping_neg(),
                         UnOp::Not => (*a == 0) as i64,
@@ -1371,9 +1371,9 @@ mod tests {
     }
 
     #[test]
-    fn constants_propagate_and_fold_at_o1() {
+    fn constants_propagate_and_fold_at_o2() {
         let p = irc("fn main() { let a = 2; let b = a * 3 + 1; out(log, b); }").unwrap();
-        let m = machine_for(&p).with_opt(OptLevel::O1);
+        let m = machine_for(&p).with_opt(OptLevel::O2);
         let cp = compile(&m);
         // `b`'s definition folds to the literal 7, and the output reads
         // it back as a propagated constant.
@@ -1413,17 +1413,17 @@ mod tests {
     #[test]
     fn constant_branches_straighten_to_jumps_keeping_branch_cost() {
         let p = irc("nv g = 0; fn main() { let a = 1; if a { g = 2; } else { g = 3; } }").unwrap();
-        let m = machine_for(&p).with_opt(OptLevel::O1);
+        let m = machine_for(&p).with_opt(OptLevel::O2);
         let cp = compile(&m);
         let m0 = machine_for(&p).with_opt(OptLevel::O0);
         let cp0 = compile(&m0);
         let mut saw_fold = false;
-        let main_o1 = &cp.funcs[p.main.0 as usize].blocks;
+        let main_o2 = &cp.funcs[p.main.0 as usize].blocks;
         let main_o0 = &cp0.funcs[p.main.0 as usize].blocks;
-        for (b1, b0) in main_o1.iter().zip(main_o0) {
-            for (s1, s0) in b1.steps.iter().zip(&b0.steps) {
+        for (b2, b0) in main_o2.iter().zip(main_o0) {
+            for (s2, s0) in b2.steps.iter().zip(&b0.steps) {
                 if let Action::Branch { .. } = s0.action {
-                    if let Action::Jump(t) = s1.action {
+                    if let Action::Jump(t) = s2.action {
                         saw_fold = true;
                         // The fold picked the then-edge (a == 1) and the
                         // step still charges the Branch's cycles.
@@ -1431,9 +1431,9 @@ mod tests {
                             unreachable!()
                         };
                         assert_eq!(t, *then_bb);
-                        match (&s1.cost, &s0.cost) {
-                            (Cost::Static { cycles: c1, .. }, Cost::Static { cycles: c0, .. }) => {
-                                assert_eq!(c1, c0, "folding never changes simulated cost")
+                        match (&s2.cost, &s0.cost) {
+                            (Cost::Static { cycles: c2, .. }, Cost::Static { cycles: c0, .. }) => {
+                                assert_eq!(c2, c0, "folding never changes simulated cost")
                             }
                             _ => panic!("branch costs are static"),
                         }
@@ -1447,7 +1447,7 @@ mod tests {
     #[test]
     fn dead_stores_to_always_bound_locals_shrink_to_const_zero() {
         // `a` is never read again: the stored value is unobservable, so
-        // O1 shrinks the source to a literal (the slot write itself is
+        // O2 shrinks the source to a literal (the slot write itself is
         // kept — binding state and checkpoint size must not change).
         let p = irc("nv g = 5; fn main() { let a = g; out(log, 1); }").unwrap();
         let zero_binds = |opt: OptLevel| {
@@ -1470,7 +1470,7 @@ mod tests {
         // level; the shrink adds `a`'s.
         assert_eq!(zero_binds(OptLevel::O0), 1, "O0 keeps the full store");
         assert_eq!(
-            zero_binds(OptLevel::O1),
+            zero_binds(OptLevel::O2),
             2,
             "the dead read of g was dropped"
         );
@@ -1481,17 +1481,15 @@ mod tests {
         // g's dependency set is never observed (no output or fresh use
         // reads it), so stores to it may skip the taint walk at O2.
         let p = irc("sensor s; nv g = 0; fn main() { let v = in(s); g = g + v; }").unwrap();
-        for opt in [OptLevel::O0, OptLevel::O1] {
-            let m = machine_for(&p).with_opt(opt);
-            let cp = compile(&m);
-            assert!(
-                main_actions(&cp, &p)
-                    .iter()
-                    .flat_map(|a| action_exprs(a))
-                    .all(|e| !contains_pure_of(e)),
-                "PureOf is an O2-only rewrite"
-            );
-        }
+        let m0 = machine_for(&p).with_opt(OptLevel::O0);
+        let cp0 = compile(&m0);
+        assert!(
+            main_actions(&cp0, &p)
+                .iter()
+                .flat_map(|a| action_exprs(a))
+                .all(|e| !contains_pure_of(e)),
+            "PureOf is an O2-only rewrite"
+        );
         let m2 = machine_for(&p).with_opt(OptLevel::O2);
         let cp2 = compile(&m2);
         assert!(
@@ -1541,7 +1539,6 @@ mod tests {
         assert!(checked > 0, "the fresh use is a check site");
         assert_eq!(elidable, checked, "the dominated probe is elidable");
         assert_eq!(count_elidable(OptLevel::O0), (checked, 0));
-        assert_eq!(count_elidable(OptLevel::O1), (checked, 0));
     }
 
     #[test]

@@ -254,7 +254,7 @@ pub struct MachineCore<'p> {
     /// this core, one per [`OptLevel`], each built once on the first
     /// compiled run at that level. Machines with injector targets
     /// compile privately (injection sites are baked into steps).
-    pub(crate) shared_compiled: [OnceLock<Arc<CompiledProgram<'p>>>; 3],
+    pub(crate) shared_compiled: [OnceLock<Arc<CompiledProgram<'p>>>; 2],
 }
 
 /// The per-device mutable half of a [`Machine`]: non-volatile memory,
@@ -633,7 +633,7 @@ impl<'p> MachineCore<'p> {
             flow,
             reclass,
             elidable_sites,
-            shared_compiled: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
+            shared_compiled: [OnceLock::new(), OnceLock::new()],
         }
     }
 }

@@ -217,8 +217,7 @@ fn run_shape(req: &Json) -> Result<(u64, ExecBackend, OptLevel), String> {
         None => OptLevel::default(),
         Some(v) => {
             let n = v.as_u64().ok_or("`opt` must be an integer")?;
-            OptLevel::parse(&n.to_string())
-                .ok_or_else(|| format!("invalid opt level {n} (accepted: 0, 1, 2)"))?
+            OptLevel::parse_from("`opt`", &n.to_string())?
         }
     };
     Ok((runs, backend, opt))
@@ -464,6 +463,34 @@ mod tests {
         let (st, _) = handle_request(&mut s, &Json::obj(vec![("op", Json::str("stats"))]));
         assert_eq!(st.get("programs").and_then(Json::as_u64), Some(1));
         assert_eq!(st.get("cores").and_then(Json::as_u64), Some(1));
+        // `opt` takes the `--opt` level names: every accepted level
+        // answers identically, and any other is an error response with
+        // the message every level-taking surface shares.
+        let run_at = |s: &mut ServerState, opt: u64| {
+            handle_request(
+                s,
+                &Json::obj(vec![
+                    ("op", Json::str("run")),
+                    ("program", Json::u64(hash)),
+                    ("scenario", Json::str("rf-lab")),
+                    ("runs", Json::u64(2)),
+                    ("opt", Json::u64(opt)),
+                ]),
+            )
+            .0
+        };
+        for opt in [0, 2] {
+            assert_eq!(
+                run_at(&mut s, opt).render().unwrap(),
+                run1.render().unwrap()
+            );
+        }
+        let bad = run_at(&mut s, 1);
+        assert!(!ok(&bad));
+        assert_eq!(
+            bad.get("error").and_then(Json::as_str),
+            Some("invalid `opt` value `1`: accepted values are `0` or `2`")
+        );
     }
 
     #[test]

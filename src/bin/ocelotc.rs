@@ -27,7 +27,7 @@
 //!     --jit                     skip region inference (JIT-only build)
 //!     --backend <interp|compiled> execution engine (default interp);
 //!                               identical results, compiled is faster
-//!     --opt <0|1|2>             compiled-engine optimization level
+//!     --opt <0|2>               compiled-engine optimization level
 //!                               (default 2, or $OCELOT_OPT; identical
 //!                               results at every level)
 //!     --tics <µs>               JIT + TICS-style expiry window with
@@ -66,9 +66,6 @@
 //!     --scenario <name[@seed]>  scenario distribution (repeatable;
 //!                               default: the whole registry)
 //!     --out <dir>               artifact directory
-//!     --fingerprint <path>      throughput fingerprint file
-//!                               (default BENCH_fleet.json);
-//!                               --no-fingerprint to skip
 //! ocelotc serve [opts]          always-on enforcement server: clients
 //!                               speak line-delimited JSON over TCP
 //!                               (submit / verify / run / sweep, see
@@ -706,9 +703,13 @@ fn cmd_run(program: Program, opts: &[String]) -> ExitCode {
                 Some(Some(b)) => backend = b,
                 _ => return usage_err("--backend needs `interp` or `compiled`"),
             },
-            "--opt" => match it.next().map(|v| ocelot::runtime::OptLevel::parse(v)) {
-                Some(Some(l)) => opt = l,
-                _ => return usage_err("--opt needs `0`, `1` or `2`"),
+            "--opt" => match it
+                .next()
+                .map(|v| ocelot::runtime::OptLevel::parse_from("--opt", v))
+            {
+                Some(Ok(l)) => opt = l,
+                Some(Err(msg)) => return usage_err(&msg),
+                None => return usage_err("--opt needs a value"),
             },
             "--tics" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(w) => {
