@@ -1,6 +1,5 @@
 //! Criterion benchmarks for the fleet engine: device-runs/sec through
-//! the shared-core sweep loop, at several worker counts, plus the
-//! recycled-vs-fresh DeviceState comparison that justifies the pool.
+//! the shared-core sweep loop, at several worker counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ocelot_bench::fleet::{run_fleet, FleetOpts, FleetSpec};
@@ -35,59 +34,19 @@ fn bench_sweep(c: &mut Criterion) {
     for jobs in [1usize, 2, 4] {
         let spec = bench_fleet_spec(devices, ExecBackend::Compiled);
         g.bench_function(BenchmarkId::new("compiled", jobs), |bencher| {
-            bencher.iter(|| {
-                run_fleet(
-                    &spec,
-                    FleetOpts {
-                        jobs,
-                        share_core: true,
-                    },
-                )
-            });
+            bencher.iter(|| run_fleet(&spec, FleetOpts { jobs }));
         });
     }
     let spec = bench_fleet_spec(devices, ExecBackend::Interp);
     g.bench_function(BenchmarkId::new("interp", 1usize), |bencher| {
-        bencher.iter(|| {
-            run_fleet(
-                &spec,
-                FleetOpts {
-                    jobs: 1,
-                    share_core: true,
-                },
-            )
-        });
+        bencher.iter(|| run_fleet(&spec, FleetOpts { jobs: 1 }));
     });
-    g.finish();
-}
-
-/// Core sharing vs per-worker rebuild: the same sweep with
-/// `share_core` off re-runs program building per worker chunk, which is
-/// the cost the shared read-only [`ocelot_runtime::MachineCore`]
-/// removes.
-fn bench_core_sharing(c: &mut Criterion) {
-    let devices = 90u64;
-    let mut g = c.benchmark_group("fleet_core");
-    for (label, share) in [("shared", true), ("rebuilt", false)] {
-        let spec = bench_fleet_spec(devices, ExecBackend::Compiled);
-        g.bench_function(BenchmarkId::new(label, 4usize), |bencher| {
-            bencher.iter(|| {
-                run_fleet(
-                    &spec,
-                    FleetOpts {
-                        jobs: 4,
-                        share_core: share,
-                    },
-                )
-            });
-        });
-    }
     g.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sweep, bench_core_sharing
+    targets = bench_sweep
 }
 criterion_main!(benches);

@@ -32,7 +32,8 @@
 //! byte-for-byte.
 
 use crate::json::{self, Json, JsonError};
-use ocelot_runtime::stats::Stats;
+use ocelot_runtime::stats::{Breakdown, Stats};
+use ocelot_telemetry::{Histogram, HIST_BUCKETS};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -98,6 +99,13 @@ impl From<JsonError> for ArtifactError {
     }
 }
 
+/// A strict reader's message (see [`Json::req`]) is a schema error.
+impl From<String> for ArtifactError {
+    fn from(msg: String) -> Self {
+        ArtifactError::Schema(msg)
+    }
+}
+
 impl Artifact {
     /// Starts an empty artifact for `driver` with the given config.
     pub fn new(driver: &str, config: Vec<(String, Json)>) -> Self {
@@ -149,34 +157,16 @@ impl Artifact {
     ///
     /// [`ArtifactError::Schema`] on version or shape mismatches.
     pub fn from_json(v: &Json) -> Result<Artifact, ArtifactError> {
-        let version = v
-            .get("schema_version")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| ArtifactError::Schema("missing schema_version".into()))?;
+        let version = v.req_i64("schema_version")?;
         if i128::from(version) != SCHEMA_VERSION {
             return Err(ArtifactError::Schema(format!(
                 "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
             )));
         }
-        let driver = v
-            .get("driver")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ArtifactError::Schema("missing driver".into()))?
-            .to_string();
-        let config = v
-            .get("config")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| ArtifactError::Schema("missing config object".into()))?
-            .to_vec();
-        let cells = v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ArtifactError::Schema("missing cells array".into()))?
-            .to_vec();
         Ok(Artifact {
-            driver,
-            config,
-            cells,
+            driver: v.req_str("driver")?.to_string(),
+            config: v.req_obj("config")?.to_vec(),
+            cells: v.req_arr("cells")?.to_vec(),
         })
     }
 
@@ -235,22 +225,19 @@ impl Artifact {
 /// Serializes every counter of `s` (scalars in declaration order, then
 /// the breakdown) — the `"stats"` member of simulation cells.
 pub fn stats_to_json(s: &Stats) -> Json {
-    let mut pairs: Vec<(String, Json)> = s
-        .counters()
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), Json::u64(v)))
-        .collect();
+    let mut pairs = counters_to_json(&s.counters());
     pairs.push((
         "breakdown".to_string(),
-        Json::Obj(
-            s.breakdown
-                .counters()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), Json::u64(v)))
-                .collect(),
-        ),
+        Json::Obj(counters_to_json(&s.breakdown.counters())),
     ));
     Json::Obj(pairs)
+}
+
+fn counters_to_json(counters: &[(&str, u64)]) -> Vec<(String, Json)> {
+    counters
+        .iter()
+        .map(|&(k, v)| (k.to_string(), Json::u64(v)))
+        .collect()
 }
 
 /// Inverse of [`stats_to_json`]; strict in both directions (every
@@ -258,66 +245,98 @@ pub fn stats_to_json(s: &Stats) -> Json {
 ///
 /// # Errors
 ///
-/// [`ArtifactError::Schema`] on any missing, extra, or mistyped field.
+/// [`ArtifactError::Schema`] on any missing, extra, duplicated, or
+/// mistyped field.
 pub fn stats_from_json(v: &Json) -> Result<Stats, ArtifactError> {
     let pairs = v
         .as_obj()
-        .ok_or_else(|| ArtifactError::Schema("stats is not an object".into()))?;
+        .ok_or_else(|| "stats is not an object".to_string())?;
+    let (breakdown, scalars): (Vec<_>, Vec<_>) = pairs.iter().partition(|(k, _)| k == "breakdown");
+    let [(_, breakdown)] = breakdown[..] else {
+        return Err(format!(
+            "stats has {} breakdown members, expected 1",
+            breakdown.len()
+        )
+        .into());
+    };
     let mut s = Stats::default();
+    counters_from_json(
+        &mut s,
+        Stats::counter_mut,
+        Stats::COUNTERS,
+        scalars,
+        "stats counter",
+    )?;
+    let breakdown = breakdown
+        .as_obj()
+        .ok_or_else(|| "breakdown is not an object".to_string())?;
+    counters_from_json(
+        &mut s.breakdown,
+        Breakdown::counter_mut,
+        Breakdown::COUNTERS,
+        breakdown,
+        "breakdown counter",
+    )?;
+    Ok(s)
+}
+
+/// Reads `pairs` into the counters of `table` that `slot` names,
+/// requiring each of its `len` counters exactly once.
+fn counters_from_json<'a, T>(
+    table: &mut T,
+    slot: for<'t> fn(&'t mut T, &str) -> Option<&'t mut u64>,
+    len: usize,
+    pairs: impl IntoIterator<Item = &'a (String, Json)>,
+    what: &str,
+) -> Result<(), String> {
     // Distinct names seen, so duplicated keys cannot mask a missing
     // counter (the JSON parser preserves duplicates).
-    let mut seen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for (k, val) in pairs {
+    let mut seen = std::collections::BTreeSet::new();
+    for (k, v) in pairs {
         if !seen.insert(k.as_str()) {
-            return Err(ArtifactError::Schema(format!(
-                "duplicate stats member `{k}`"
-            )));
+            return Err(format!("duplicate {what} `{k}`"));
         }
-        if k == "breakdown" {
-            let bd = val
-                .as_obj()
-                .ok_or_else(|| ArtifactError::Schema("breakdown is not an object".into()))?;
-            let mut bseen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-            for (bk, bv) in bd {
-                if !bseen.insert(bk.as_str()) {
-                    return Err(ArtifactError::Schema(format!(
-                        "duplicate breakdown counter `{bk}`"
-                    )));
-                }
-                let n = bv.as_u64().ok_or_else(|| {
-                    ArtifactError::Schema(format!("breakdown counter `{bk}` is not a u64"))
-                })?;
-                if !s.breakdown.set_counter(bk, n) {
-                    return Err(ArtifactError::Schema(format!(
-                        "unknown breakdown counter `{bk}`"
-                    )));
-                }
-            }
-            if bseen.len() != s.breakdown.counters().len() {
-                return Err(ArtifactError::Schema(
-                    "breakdown is missing counters".into(),
-                ));
-            }
-            continue;
-        }
-        let n = val
+        let n = v
             .as_u64()
-            .ok_or_else(|| ArtifactError::Schema(format!("stats counter `{k}` is not a u64")))?;
-        if !s.set_counter(k, n) {
-            return Err(ArtifactError::Schema(format!(
-                "unknown stats counter `{k}`"
-            )));
-        }
+            .ok_or_else(|| format!("{what} `{k}` is not a u64"))?;
+        *slot(table, k).ok_or_else(|| format!("unknown {what} `{k}`"))? = n;
     }
-    // `seen` holds distinct names only: exactly the counters + breakdown.
-    if seen.len() != s.counters().len() + 1 || !seen.contains("breakdown") {
-        return Err(ArtifactError::Schema(format!(
-            "stats has {} of {} members",
-            seen.len(),
-            s.counters().len() + 1
-        )));
+    if seen.len() != len {
+        return Err(format!("{} of {len} {what}s present", seen.len()));
     }
-    Ok(s)
+    Ok(())
+}
+
+/// The shared telemetry [`Histogram`] as its schema-v1 encoding: the raw
+/// bucket array, unchanged since the fleet driver introduced it.
+pub fn histogram_to_json(h: &Histogram) -> Json {
+    Json::Arr(h.buckets().iter().map(|&v| Json::u64(v)).collect())
+}
+
+/// Strict inverse of [`histogram_to_json`].
+///
+/// # Errors
+///
+/// [`ArtifactError::Schema`] on a wrong length or non-`u64` entries.
+pub fn histogram_from_json(v: &Json) -> Result<Histogram, ArtifactError> {
+    let arr = v
+        .as_arr()
+        .ok_or_else(|| "histogram is not an array".to_string())?;
+    if arr.len() != HIST_BUCKETS {
+        return Err(format!(
+            "histogram has {} buckets, expected {HIST_BUCKETS}",
+            arr.len()
+        )
+        .into());
+    }
+    let buckets = arr
+        .iter()
+        .map(|e| {
+            e.as_u64()
+                .ok_or_else(|| "histogram bucket is not a u64".to_string())
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Histogram::from_buckets(buckets))
 }
 
 #[cfg(test)]
@@ -327,10 +346,10 @@ mod tests {
     fn sample_stats() -> Stats {
         let mut s = Stats::default();
         for (i, (name, _)) in Stats::default().counters().into_iter().enumerate() {
-            s.set_counter(name, (i as u64 + 1) * 1_000_003);
+            *s.counter_mut(name).unwrap() = (i as u64 + 1) * 1_000_003;
         }
-        for (i, (name, _)) in s.breakdown.clone().counters().into_iter().enumerate() {
-            s.breakdown.set_counter(name, u64::MAX - i as u64);
+        for (i, (name, _)) in Breakdown::default().counters().into_iter().enumerate() {
+            *s.breakdown.counter_mut(name).unwrap() = u64::MAX - i as u64;
         }
         s
     }
@@ -367,6 +386,36 @@ mod tests {
         // Mistyped counter → error.
         assert!(stats_from_json(&Json::obj(vec![("on_cycles", Json::str("9"))])).is_err());
         assert!(stats_from_json(&Json::Null).is_err());
+        // The breakdown is held to the same rules, and must appear once.
+        let Some(Json::Obj(bd)) = stats_to_json(&s).get("breakdown").cloned() else {
+            unreachable!()
+        };
+        let with_breakdown = |bd: Vec<(String, Json)>| {
+            let Json::Obj(mut pairs) = stats_to_json(&s) else {
+                unreachable!()
+            };
+            pairs.retain(|(k, _)| k != "breakdown");
+            pairs.push(("breakdown".into(), Json::Obj(bd)));
+            stats_from_json(&Json::Obj(pairs))
+        };
+        assert!(with_breakdown(bd.clone()).is_ok());
+        let mut missing = bd.clone();
+        missing.retain(|(k, _)| k != "input");
+        assert!(with_breakdown(missing.clone()).is_err());
+        let mut unknown = bd.clone();
+        unknown.push(("fresh".into(), Json::u64(1)));
+        assert!(with_breakdown(unknown).is_err());
+        let mut duped = missing;
+        duped.push(("compute".into(), Json::u64(1)));
+        assert!(with_breakdown(duped).is_err());
+        let mut mistyped = bd.clone();
+        mistyped[0].1 = Json::str("9");
+        assert!(with_breakdown(mistyped).is_err());
+        let Json::Obj(mut two) = stats_to_json(&s) else {
+            unreachable!()
+        };
+        two.push(("breakdown".into(), Json::Obj(bd)));
+        assert!(stats_from_json(&Json::Obj(two)).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! custom machines — so their `collect` functions shard whole-row jobs
 //! (one per benchmark / capacity) across the pool directly.
 
-use super::{cell_bool, cell_f64, cell_str, cell_u64, per_bench_cells, Driver, DriverOpts};
+use super::{per_bench_cells, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::{bench_supply, build_for, calibrated_costs, whole_main_variant, MAX_STEPS};
 use crate::json::Json;
@@ -139,20 +139,20 @@ fn render_ablation(a: &Artifact) -> Result<String, ArtifactError> {
         "completes on small buffer?",
     ]);
     for cell in &a.cells {
-        let r = cell_u64(cell, "whole_cycles")? as f64 / cell_u64(cell, "inferred_cycles")? as f64;
+        let r = cell.req_u64("whole_cycles")? as f64 / cell.req_u64("inferred_cycles")? as f64;
         t.row(vec![
-            cell_str(cell, "bench")?.to_string(),
-            cell_u64(cell, "inferred_omega")?.to_string(),
-            cell_u64(cell, "whole_omega")?.to_string(),
+            cell.req_str("bench")?.to_string(),
+            cell.req_u64("inferred_omega")?.to_string(),
+            cell.req_u64("whole_omega")?.to_string(),
             ratio(r),
             format!(
                 "inferred: {} / whole-main: {}",
-                if cell_bool(cell, "inferred_completes")? {
+                if cell.req_bool("inferred_completes")? {
                     "yes"
                 } else {
                     "NO"
                 },
-                if cell_bool(cell, "whole_completes")? {
+                if cell.req_bool("whole_completes")? {
                     "yes"
                 } else {
                     "NO"
@@ -250,18 +250,18 @@ fn render_progress(a: &Artifact) -> Result<String, ArtifactError> {
     ]);
     for cell in &a.cells {
         t.row(vec![
-            cell_str(cell, "bench")?.to_string(),
-            cell_u64(cell, "regions")?.to_string(),
-            format!("{:.2}", cell_f64(cell, "peak_inferred_nj")? / 1000.0),
-            format!("{:.2}", cell_f64(cell, "peak_whole_nj")? / 1000.0),
-            format!("{:.2}", cell_f64(cell, "min_capacity_nj")? / 1000.0),
-            if cell_bool(cell, "feasible_on_bank")? {
+            cell.req_str("bench")?.to_string(),
+            cell.req_u64("regions")?.to_string(),
+            format!("{:.2}", cell.req_f64("peak_inferred_nj")? / 1000.0),
+            format!("{:.2}", cell.req_f64("peak_whole_nj")? / 1000.0),
+            format!("{:.2}", cell.req_f64("min_capacity_nj")? / 1000.0),
+            if cell.req_bool("feasible_on_bank")? {
                 "feasible"
             } else {
                 "INFEASIBLE"
             }
             .to_string(),
-            cell_str(cell, "runs_on_min_buffer")?.to_string(),
+            cell.req_str("runs_on_min_buffer")?.to_string(),
         ]);
     }
     Ok(format!(
@@ -398,24 +398,24 @@ fn render_samoyed(a: &Artifact) -> Result<String, ArtifactError> {
         "fallback",
     ]);
     for cell in &a.cells {
-        let fell_back = cell_bool(cell, "samoyed_fell_back")?;
+        let fell_back = cell.req_bool("samoyed_fell_back")?;
         let outcome = if fell_back {
-            if cell_u64(cell, "samoyed_violations")? > 0 {
+            if cell.req_u64("samoyed_violations")? > 0 {
                 "fallback, VIOLATED".to_string()
             } else {
                 "fallback, lucky".to_string()
             }
-        } else if cell_bool(cell, "samoyed_completed")? {
+        } else if cell.req_bool("samoyed_completed")? {
             "completes, consistent".to_string()
         } else {
             "step limit".to_string()
         };
         t.row(vec![
-            format!("{:.0}", cell_f64(cell, "capacity_nj")? / 1000.0),
-            cell_str(cell, "ocelot_outcome")?.to_string(),
+            format!("{:.0}", cell.req_f64("capacity_nj")? / 1000.0),
+            cell.req_str("ocelot_outcome")?.to_string(),
             outcome,
-            cell_u64(cell, "samoyed_final_param")?.to_string(),
-            cell_u64(cell, "samoyed_scalings")?.to_string(),
+            cell.req_u64("samoyed_final_param")?.to_string(),
+            cell.req_u64("samoyed_scalings")?.to_string(),
             if fell_back { "yes" } else { "no" }.to_string(),
         ]);
     }

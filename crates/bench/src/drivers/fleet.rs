@@ -46,13 +46,7 @@ fn plan(opts: &DriverOpts) -> FleetSpec {
 
 fn collect(opts: &DriverOpts) -> Artifact {
     let spec = plan(opts);
-    let aggs = run_fleet(
-        &spec,
-        FleetOpts {
-            jobs: opts.jobs,
-            share_core: true,
-        },
-    );
+    let aggs = run_fleet(&spec, FleetOpts { jobs: opts.jobs });
     crate::fleet::fleet_artifact(&spec, &aggs)
 }
 

@@ -286,40 +286,9 @@ pub(crate) fn sim_cell(
     Json::obj(pairs)
 }
 
-/// A required string member of a cell.
-pub(crate) fn cell_str<'a>(cell: &'a Json, key: &str) -> Result<&'a str, ArtifactError> {
-    cell.get(key).and_then(Json::as_str).ok_or_else(|| {
-        ArtifactError::Schema(format!("cell member `{key}` missing or not a string"))
-    })
-}
-
-/// A required integer member of a cell.
-pub(crate) fn cell_u64(cell: &Json, key: &str) -> Result<u64, ArtifactError> {
-    cell.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ArtifactError::Schema(format!("cell member `{key}` missing or not a u64")))
-}
-
-/// A required number member of a cell, as `f64`.
-pub(crate) fn cell_f64(cell: &Json, key: &str) -> Result<f64, ArtifactError> {
-    cell.get(key).and_then(Json::as_f64).ok_or_else(|| {
-        ArtifactError::Schema(format!("cell member `{key}` missing or not a number"))
-    })
-}
-
-/// A required boolean member of a cell.
-pub(crate) fn cell_bool(cell: &Json, key: &str) -> Result<bool, ArtifactError> {
-    cell.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| ArtifactError::Schema(format!("cell member `{key}` missing or not a bool")))
-}
-
 /// The deserialized `stats` member of a cell.
 pub(crate) fn cell_stats(cell: &Json) -> Result<Stats, ArtifactError> {
-    let v = cell
-        .get("stats")
-        .ok_or_else(|| ArtifactError::Schema("cell has no stats member".into()))?;
-    crate::artifact::stats_from_json(v)
+    crate::artifact::stats_from_json(cell.req("stats")?)
 }
 
 /// Finds the unique cell whose members match every `(key, value)` pair
@@ -391,14 +360,25 @@ mod tests {
             Workload::Duration { sim_us: 123 },
             &s,
         );
-        assert_eq!(cell_str(&cell, "bench").unwrap(), "tire");
-        assert_eq!(cell_str(&cell, "model").unwrap(), "Ocelot");
-        assert_eq!(cell_u64(&cell, "seed").unwrap(), 9);
-        assert_eq!(cell_str(&cell, "workload").unwrap(), "duration");
-        assert_eq!(cell_u64(&cell, "sim_us").unwrap(), 123);
+        assert_eq!(cell.req_str("bench").unwrap(), "tire");
+        assert_eq!(cell.req_str("model").unwrap(), "Ocelot");
+        assert_eq!(cell.req_u64("seed").unwrap(), 9);
+        assert_eq!(cell.req_str("workload").unwrap(), "duration");
+        assert_eq!(cell.req_u64("sim_us").unwrap(), 123);
         assert_eq!(cell_stats(&cell).unwrap(), s);
-        assert!(cell_str(&cell, "nope").is_err());
-        assert!(cell_u64(&cell, "bench").is_err());
+        // The shared strict accessors name the member they reject, and
+        // `?` turns that message into a schema error.
+        assert_eq!(cell.req_str("nope").unwrap_err(), "missing member `nope`");
+        assert_eq!(
+            cell.req_u64("bench").unwrap_err(),
+            "member `bench` is not a u64"
+        );
+        let err = cell_stats(&Json::obj(vec![])).unwrap_err();
+        assert!(matches!(err, ArtifactError::Schema(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "artifact schema error: missing member `stats`"
+        );
     }
 
     #[test]
@@ -411,7 +391,7 @@ mod tests {
             ]));
         }
         let c = find_cell(&a, &[("bench", "a"), ("model", "Ocelot")]).unwrap();
-        assert_eq!(cell_str(c, "model").unwrap(), "Ocelot");
+        assert_eq!(c.req_str("model").unwrap(), "Ocelot");
         assert!(find_cell(&a, &[("bench", "c")]).is_err());
         assert_eq!(cell_benches(&a), vec!["a".to_string(), "b".to_string()]);
     }

@@ -166,7 +166,6 @@ fn render_sweep(a: &Artifact) -> Result<String, ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::cell_str;
     use ocelot_runtime::ExecBackend;
 
     fn tiny_opts() -> DriverOpts {
@@ -208,8 +207,8 @@ mod tests {
                     s.violations,
                     0,
                     "Ocelot must not violate in {}/{}",
-                    cell_str(c, "bench").unwrap(),
-                    cell_str(c, "scenario").unwrap()
+                    c.req_str("bench").unwrap(),
+                    c.req_str("scenario").unwrap()
                 );
                 ocelot_cells += 1;
             }

@@ -12,7 +12,7 @@
 //! this artifact is excluded from byte-identity comparisons, and the
 //! verdict hashes inside it are the machine-independent part.
 
-use super::{cell_u64, Driver, DriverOpts};
+use super::{Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::json::Json;
 use crate::verify::{replay_trace, EditTrace, Verdict, DEFAULT_TRACE};
@@ -71,7 +71,7 @@ fn column(a: &Artifact, key: &str) -> Result<Vec<u64>, ArtifactError> {
     let mut xs = a
         .cells
         .iter()
-        .map(|c| cell_u64(c, key))
+        .map(|c| c.req_u64(key))
         .collect::<Result<Vec<_>, _>>()?;
     if xs.is_empty() {
         return Err(ArtifactError::Schema("serve artifact has no cells".into()));
@@ -108,8 +108,8 @@ fn render(a: &Artifact) -> Result<String, ArtifactError> {
     let mut analyzed = 0u64;
     let mut reused = 0u64;
     for c in &a.cells {
-        analyzed += cell_u64(c, "analyzed")?;
-        reused += cell_u64(c, "reused")?;
+        analyzed += c.req_u64("analyzed")?;
+        reused += c.req_u64("reused")?;
         let v = c
             .get("verdict")
             .and_then(Verdict::from_json)
@@ -117,7 +117,7 @@ fn render(a: &Artifact) -> Result<String, ArtifactError> {
         if !v.passes {
             return Err(ArtifactError::Schema(format!(
                 "edit {} recorded a failing verdict",
-                cell_u64(c, "edit")?
+                c.req_u64("edit")?
             )));
         }
     }
@@ -168,7 +168,7 @@ mod tests {
         assert_eq!(a.cells.len(), 5);
         for c in &a.cells {
             // The one-line edit re-analyzes the edited worker + main.
-            assert!(cell_u64(c, "analyzed").unwrap() <= 2);
+            assert!(c.req_u64("analyzed").unwrap() <= 2);
             let v = Verdict::from_json(c.get("verdict").unwrap()).unwrap();
             assert!(v.passes);
         }

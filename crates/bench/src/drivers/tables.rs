@@ -4,7 +4,7 @@
 //! microseconds, yet persisting the rows keeps `--replay` uniform and
 //! pins the published numbers under the golden/determinism tests.
 
-use super::{cell_str, cell_u64, Driver, DriverOpts};
+use super::{Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::effort::table4;
 use crate::json::Json;
@@ -47,11 +47,11 @@ fn render_table1(a: &Artifact) -> Result<String, ArtifactError> {
             .filter_map(Json::as_str)
             .collect();
         t.row(vec![
-            cell_str(cell, "origin")?.to_string(),
-            cell_str(cell, "bench")?.to_string(),
-            cell_u64(cell, "loc")?.to_string(),
+            cell.req_str("origin")?.to_string(),
+            cell.req_str("bench")?.to_string(),
+            cell.req_u64("loc")?.to_string(),
             sensors.join(", "),
-            cell_str(cell, "constraints")?.to_string(),
+            cell.req_str("constraints")?.to_string(),
         ]);
     }
     Ok(format!(
@@ -120,10 +120,10 @@ fn render_table3(a: &Artifact) -> Result<String, ArtifactError> {
     ]);
     for cell in &a.cells {
         t.row(vec![
-            cell_str(cell, "system")?.to_string(),
-            cell_str(cell, "constructs")?.to_string(),
-            cell_str(cell, "strategy")?.to_string(),
-            cell_str(cell, "upholds")?.to_string(),
+            cell.req_str("system")?.to_string(),
+            cell.req_str("constructs")?.to_string(),
+            cell.req_str("strategy")?.to_string(),
+            cell.req_str("upholds")?.to_string(),
         ]);
     }
     Ok(format!(
@@ -171,7 +171,7 @@ fn render_table4(a: &Artifact) -> Result<String, ArtifactError> {
             "tire",
         ] {
             let cell = super::find_cell(a, &[("bench", bench)])?;
-            row.push(cell_u64(cell, key)?.to_string());
+            row.push(cell.req_u64(key)?.to_string());
         }
         t.row(row);
     }

@@ -2,7 +2,7 @@
 //! replay scored against the freshness definition, and the live
 //! expiry-window model run head-to-head against JIT and Ocelot.
 
-use super::{cell_str, cell_u64, find_cell, sim_cell, Driver, DriverOpts};
+use super::{find_cell, sim_cell, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::{bench_supply, build_for, calibrated_costs, run_cells, CellSpec, Workload};
 use crate::json::Json;
@@ -101,9 +101,9 @@ fn render_expiry(a: &Artifact) -> Result<String, ArtifactError> {
     let mut t = Table::new(&header_refs);
     for cell in &a.cells {
         let mut row = vec![
-            cell_str(cell, "bench")?.to_string(),
-            cell_u64(cell, "true_fresh_violations")?.to_string(),
-            cell_u64(cell, "consistency_unexpressible")?.to_string(),
+            cell.req_str("bench")?.to_string(),
+            cell.req_u64("true_fresh_violations")?.to_string(),
+            cell.req_u64("consistency_unexpressible")?.to_string(),
         ];
         let windows = cell
             .get("windows")
@@ -112,8 +112,8 @@ fn render_expiry(a: &Artifact) -> Result<String, ArtifactError> {
         for w in windows {
             row.push(format!(
                 "{}/{}",
-                cell_u64(w, "missed")?,
-                cell_u64(w, "spurious")?
+                w.req_u64("missed")?,
+                w.req_u64("spurious")?
             ));
         }
         t.row(row);

@@ -12,8 +12,7 @@
 //! Results stream into per-scenario [`FleetAggregate`]s — summed
 //! [`Stats`] counters plus log₂-bucket [`Histogram`]s of per-device
 //! reboots and freshness failures — merged in device-index order, so
-//! the persisted artifact is byte-identical at every `--jobs` width and
-//! whether cores are shared or rebuilt per worker.
+//! the persisted artifact is byte-identical at every `--jobs` width.
 //!
 //! The per-cell interpreter path stays intact as the oracle: device `i`
 //! is observationally identical to the [`CellSpec`] returned by
@@ -22,14 +21,16 @@
 //! equals the fleet aggregates exactly (held by the oracle-equivalence
 //! suite in `tests/fleet_oracle.rs`).
 
-use crate::artifact::{stats_from_json, stats_to_json, Artifact, ArtifactError};
+use crate::artifact::{
+    histogram_from_json, histogram_to_json, stats_from_json, stats_to_json, Artifact, ArtifactError,
+};
 use crate::harness::{build_for, calibrated_costs, CellSpec, Workload, MAX_STEPS};
 use crate::json::Json;
 use crate::pool::{self, Job};
 use crate::report::Table;
 use ocelot_runtime::machine::{DeviceState, Machine, MachineCore};
 use ocelot_runtime::model::ExecModel;
-use ocelot_runtime::stats::{Breakdown, Stats};
+use ocelot_runtime::stats::Stats;
 use ocelot_runtime::{ExecBackend, OptLevel};
 use ocelot_scenario::Scenario;
 use std::path::PathBuf;
@@ -93,66 +94,15 @@ impl FleetSpec {
 pub struct FleetOpts {
     /// Worker threads (1 = serial).
     pub jobs: usize,
-    /// Share one read-only [`MachineCore`] per scenario across all
-    /// workers (the fast path). `false` rebuilds the cores inside every
-    /// worker — semantically free, held byte-identical by the
-    /// determinism suite.
-    pub share_core: bool,
 }
 
 impl Default for FleetOpts {
     fn default() -> Self {
-        FleetOpts {
-            jobs: 1,
-            share_core: true,
-        }
+        FleetOpts { jobs: 1 }
     }
 }
 
 pub use ocelot_telemetry::{Histogram, HIST_BUCKETS};
-
-/// Artifact (de)serialization for the shared telemetry [`Histogram`].
-/// The histogram itself was generalized into `ocelot-telemetry` (a
-/// dependency leaf with no JSON layer), so its schema-v1 encoding —
-/// the raw 65-bucket array, unchanged since the fleet driver introduced
-/// it — lives here with the rest of the artifact schema.
-pub trait HistogramJson: Sized {
-    /// The histogram as a JSON array of bucket counts.
-    fn to_json(&self) -> Json;
-
-    /// Strict inverse of [`HistogramJson::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Schema`] on wrong length or non-`u64` entries.
-    fn from_json(v: &Json) -> Result<Self, ArtifactError>;
-}
-
-impl HistogramJson for Histogram {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.buckets().iter().map(|&v| Json::u64(v)).collect())
-    }
-
-    fn from_json(v: &Json) -> Result<Histogram, ArtifactError> {
-        let arr = v
-            .as_arr()
-            .ok_or_else(|| ArtifactError::Schema("histogram is not an array".into()))?;
-        if arr.len() != HIST_BUCKETS {
-            return Err(ArtifactError::Schema(format!(
-                "histogram has {} buckets, expected {HIST_BUCKETS}",
-                arr.len()
-            )));
-        }
-        let mut buckets = Vec::with_capacity(HIST_BUCKETS);
-        for e in arr {
-            buckets
-                .push(e.as_u64().ok_or_else(|| {
-                    ArtifactError::Schema("histogram bucket is not a u64".into())
-                })?);
-        }
-        Ok(Histogram::from_buckets(buckets))
-    }
-}
 
 /// Everything one scenario's devices produced: device count, summed
 /// [`Stats`] counters, and the per-device reboot / freshness-failure
@@ -175,53 +125,7 @@ pub struct FleetAggregate {
 /// Adds every counter of `add` (including the breakdown) into `total`,
 /// in place.
 pub fn add_stats(total: &mut Stats, add: &Stats) {
-    // The destructuring patterns are exhaustive: a counter added to
-    // `Stats` or `Breakdown` does not compile until it is summed here.
-    macro_rules! sum {
-        ($total:expr, $add:expr, $ty:ident { $($f:ident),* } $(, $skip:ident)?) => {{
-            let $ty { $($f,)* $($skip: _)? } = $add;
-            $($total.$f += *$f;)*
-        }};
-    }
-    sum!(
-        total,
-        add,
-        Stats {
-            on_cycles,
-            on_time_us,
-            off_time_us,
-            reboots,
-            jit_checkpoints,
-            region_entries,
-            region_commits,
-            region_reexecs,
-            log_words,
-            ckpt_words,
-            outputs,
-            violations,
-            fresh_violations,
-            consistency_violations,
-            runs_completed,
-            runs_with_violation,
-            instructions,
-            expiry_trips,
-            expiry_restarts,
-            expiry_giveups
-        },
-        breakdown
-    );
-    sum!(
-        total.breakdown,
-        &add.breakdown,
-        Breakdown {
-            compute,
-            input,
-            output,
-            checkpoint,
-            undo_log,
-            restore
-        }
-    );
+    total.accumulate(add);
 }
 
 impl FleetAggregate {
@@ -260,8 +164,8 @@ impl FleetAggregate {
             ("scenario", Json::str(&self.scenario)),
             ("devices", Json::u64(self.devices)),
             ("stats", stats_to_json(&self.stats)),
-            ("reboots_hist", self.reboots_hist.to_json()),
-            ("fresh_hist", self.fresh_hist.to_json()),
+            ("reboots_hist", histogram_to_json(&self.reboots_hist)),
+            ("fresh_hist", histogram_to_json(&self.fresh_hist)),
         ])
     }
 
@@ -271,33 +175,12 @@ impl FleetAggregate {
     ///
     /// [`ArtifactError::Schema`] on any missing or mistyped member.
     pub fn from_cell(cell: &Json) -> Result<FleetAggregate, ArtifactError> {
-        let scenario = cell
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ArtifactError::Schema("fleet cell has no scenario".into()))?
-            .to_string();
-        let devices = cell
-            .get("devices")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ArtifactError::Schema("fleet cell has no devices count".into()))?;
-        let stats = stats_from_json(
-            cell.get("stats")
-                .ok_or_else(|| ArtifactError::Schema("fleet cell has no stats".into()))?,
-        )?;
-        let reboots_hist = Histogram::from_json(
-            cell.get("reboots_hist")
-                .ok_or_else(|| ArtifactError::Schema("fleet cell has no reboots_hist".into()))?,
-        )?;
-        let fresh_hist = Histogram::from_json(
-            cell.get("fresh_hist")
-                .ok_or_else(|| ArtifactError::Schema("fleet cell has no fresh_hist".into()))?,
-        )?;
         Ok(FleetAggregate {
-            scenario,
-            devices,
-            stats,
-            reboots_hist,
-            fresh_hist,
+            scenario: cell.req_str("scenario")?.to_string(),
+            devices: cell.req_u64("devices")?,
+            stats: stats_from_json(cell.req("stats")?)?,
+            reboots_hist: histogram_from_json(cell.req("reboots_hist")?)?,
+            fresh_hist: histogram_from_json(cell.req("fresh_hist")?)?,
         })
     }
 }
@@ -331,24 +214,21 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
         .iter()
         .map(|s| ocelot_scenario::parse(s).unwrap_or_else(|e| panic!("fleet scenario: {e}")))
         .collect();
-    let build_cores = || {
-        scenarios
-            .iter()
-            .map(|sc| {
-                // The channel layout recorded in the core is a pure
-                // function of the scenario shape (seeds only perturb
-                // signal values), so any device seed works here.
-                Arc::new(MachineCore::build(
-                    &built.program,
-                    &built.regions,
-                    built.policies.clone(),
-                    &sc.reseeded(spec.seed0).environment(),
-                    calibrated_costs(&b),
-                ))
-            })
-            .collect::<Vec<_>>()
-    };
-    let shared_cores = build_cores();
+    let cores: Vec<Arc<MachineCore<'_>>> = scenarios
+        .iter()
+        .map(|sc| {
+            // The channel layout recorded in the core is a pure
+            // function of the scenario shape (seeds only perturb
+            // signal values), so any device seed works here.
+            Arc::new(MachineCore::build(
+                &built.program,
+                &built.regions,
+                built.policies.clone(),
+                &sc.reseeded(spec.seed0).environment(),
+                calibrated_costs(&b),
+            ))
+        })
+        .collect();
     let n_scenarios = spec.scenarios.len() as u64;
 
     // Contiguous device-index chunks, enough to keep the pool busy.
@@ -359,17 +239,9 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
     while lo < spec.devices {
         let hi = (lo + chunk).min(spec.devices);
         let scenarios = &scenarios;
-        let shared = &shared_cores;
-        let build_cores = &build_cores;
+        let cores = &cores;
         work.push(Box::new(move || {
             let _span = ocelot_telemetry::span!("fleet.chunk", "fleet");
-            let local;
-            let cores: &[Arc<MachineCore<'_>>] = if opts.share_core {
-                shared
-            } else {
-                local = build_cores();
-                &local
-            };
             let mut aggs: Vec<FleetAggregate> = spec
                 .scenarios
                 .iter()
@@ -385,7 +257,8 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
                     sc.environment(),
                     sc.supply(),
                 )
-                .with_backend(spec.backend);
+                .with_backend(spec.backend)
+                .with_opt(spec.opt);
                 for _ in 0..spec.runs {
                     // Harvested semantics: a harsh regime may
                     // legitimately starve a run, so no completion
@@ -730,13 +603,7 @@ pub fn fleet_main(args: &[String]) -> ExitCode {
     ocelot_telemetry::set_tracing(parsed.trace_out.is_some());
     ocelot_telemetry::set_metrics(parsed.metrics);
     let start = Instant::now();
-    let aggs = run_fleet(
-        &spec,
-        FleetOpts {
-            jobs: parsed.jobs,
-            share_core: true,
-        },
-    );
+    let aggs = run_fleet(&spec, FleetOpts { jobs: parsed.jobs });
     let elapsed_ms = start.elapsed().as_millis() as u64;
     let overhead = if parsed.overhead_check {
         // Same sweep again with both telemetry pillars on: the timing
@@ -755,13 +622,7 @@ pub fn fleet_main(args: &[String]) -> ExitCode {
         let mut on_elapsed_ms = u64::MAX;
         for attempt in 0..attempts {
             let on_start = Instant::now();
-            let on_aggs = run_fleet(
-                &spec,
-                FleetOpts {
-                    jobs: parsed.jobs,
-                    share_core: true,
-                },
-            );
+            let on_aggs = run_fleet(&spec, FleetOpts { jobs: parsed.jobs });
             let this_ms = on_start.elapsed().as_millis() as u64;
             on_elapsed_ms = on_elapsed_ms.min(this_ms);
             if on_aggs != aggs {
@@ -968,7 +829,7 @@ mod tests {
         // one is not an option).
         let mut full = vec![Json::u64(0); HIST_BUCKETS];
         full[0] = Json::u64(u64::MAX);
-        let mut h = Histogram::from_json(&Json::Arr(full)).unwrap();
+        let mut h = histogram_from_json(&Json::Arr(full)).unwrap();
         // One more device in the same bucket pins, not wraps.
         h.record(0);
         assert_eq!(h.buckets()[0], u64::MAX);
@@ -1025,14 +886,14 @@ mod tests {
         let mut h = Histogram::default();
         h.record(0);
         h.record(77);
-        assert_eq!(Histogram::from_json(&h.to_json()).unwrap(), h);
-        assert!(Histogram::from_json(&Json::Null).is_err());
-        assert!(Histogram::from_json(&Json::Arr(vec![Json::u64(1)])).is_err());
-        let mut bad = h.to_json();
+        assert_eq!(histogram_from_json(&histogram_to_json(&h)).unwrap(), h);
+        assert!(histogram_from_json(&Json::Null).is_err());
+        assert!(histogram_from_json(&Json::Arr(vec![Json::u64(1)])).is_err());
+        let mut bad = histogram_to_json(&h);
         if let Json::Arr(arr) = &mut bad {
             arr[3] = Json::str("x");
         }
-        assert!(Histogram::from_json(&bad).is_err());
+        assert!(histogram_from_json(&bad).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared benchmark harness: calibrated cost models and power supplies,
-//! plus runners for the three measurement modes of §7 — continuous
-//! power, harvested intermittent power, and pathological failure
-//! injection.
+//! plus one cell runner for every measurement mode of §7 ([`Workload`]) —
+//! continuous power, harvested intermittent power, and pathological
+//! failure injection.
 //!
 //! The sweep surface is the **cell**: one (benchmark, model, seed,
 //! workload) combination. Drivers enumerate their cells up front as a
@@ -103,100 +103,6 @@ pub fn whole_main_variant(src: &str) -> ocelot_ir::Program {
     out.push_str("}\n");
     out.push_str(&src[end..]);
     ocelot_ir::compile(&out).expect("wrapped source compiles")
-}
-
-fn machine<'a>(
-    bench: &Benchmark,
-    built: &'a Built,
-    supply: Box<dyn PowerSupply>,
-    seed: u64,
-    backend: ExecBackend,
-) -> Machine<'a> {
-    Machine::new(
-        &built.program,
-        &built.regions,
-        built.policies.clone(),
-        bench.environment(seed),
-        calibrated_costs(bench),
-        supply,
-    )
-    .with_backend(backend)
-}
-
-/// Runs `runs` back-to-back executions on continuous power (Figure 7's
-/// configuration) and returns the accumulated stats.
-pub fn run_continuous(
-    bench: &Benchmark,
-    built: &Built,
-    runs: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let mut m = machine(bench, built, Box::new(ContinuousPower), seed, backend);
-    for _ in 0..runs {
-        let out = m.run_once(MAX_STEPS);
-        assert!(
-            matches!(out, RunOutcome::Completed { .. }),
-            "{} did not complete on continuous power",
-            bench.name
-        );
-    }
-    m.stats().clone()
-}
-
-/// Runs `runs` executions on harvested intermittent power (Figure 8's
-/// configuration).
-pub fn run_intermittent(
-    bench: &Benchmark,
-    built: &Built,
-    runs: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let mut m = machine(bench, built, Box::new(bench_supply(seed)), seed, backend);
-    for _ in 0..runs {
-        let out = m.run_once(MAX_STEPS);
-        assert!(
-            matches!(out, RunOutcome::Completed { .. }),
-            "{} did not complete on intermittent power",
-            bench.name
-        );
-    }
-    m.stats().clone()
-}
-
-/// Runs repeatedly for `sim_duration_us` of simulated wall-clock time on
-/// harvested power, the Table 2(b) methodology, returning the stats
-/// (runs completed, runs violating).
-pub fn run_for_duration(
-    bench: &Benchmark,
-    built: &Built,
-    sim_duration_us: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let mut m = machine(bench, built, Box::new(bench_supply(seed)), seed, backend);
-    m.run_for(sim_duration_us, MAX_STEPS);
-    m.stats().clone()
-}
-
-/// Runs `runs` executions with pathological failures injected at the
-/// policy-critical points (§7.3, Table 2(a)).
-pub fn run_pathological(
-    bench: &Benchmark,
-    built: &Built,
-    runs: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let targets = pathological_targets(&built.policies);
-    let mut m =
-        machine(bench, built, Box::new(ContinuousPower), seed, backend).with_injector(targets);
-    for _ in 0..runs {
-        let out = m.run_once(MAX_STEPS);
-        assert!(matches!(out, RunOutcome::Completed { .. }));
-    }
-    m.stats().clone()
 }
 
 /// How one cell exercises its machine — the four measurement modes the
@@ -324,8 +230,7 @@ pub struct CellRun {
 /// # Panics
 ///
 /// Panics if the benchmark or scenario name is unknown, the build
-/// fails, or an asserting workload fails to complete — the same
-/// failures the serial harness helpers raise.
+/// fails, or an asserting workload fails to complete.
 pub fn run_cell_full(spec: &CellSpec) -> CellRun {
     let b = ocelot_apps::by_name(&spec.bench)
         .unwrap_or_else(|| panic!("unknown benchmark `{}`", spec.bench));
@@ -436,8 +341,12 @@ mod tests {
     fn continuous_runs_complete_for_all_models() {
         for b in ocelot_apps::all() {
             for model in [ExecModel::Jit, ExecModel::Ocelot, ExecModel::AtomicsOnly] {
-                let built = build_for(&b, model);
-                let s = run_continuous(&b, &built, 2, 7, ExecBackend::Interp);
+                let s = run_cell(&CellSpec::new(
+                    b.name,
+                    model,
+                    7,
+                    Workload::Continuous { runs: 2 },
+                ));
                 assert_eq!(s.runs_completed, 2, "{} {:?}", b.name, model);
                 assert_eq!(s.reboots, 0, "continuous power never fails");
             }
@@ -446,21 +355,16 @@ mod tests {
 
     #[test]
     fn ocelot_overhead_is_small_but_nonzero() {
-        let b = ocelot_apps::by_name("greenhouse").unwrap();
-        let jit = run_continuous(
-            &b,
-            &build_for(&b, ExecModel::Jit),
-            10,
-            7,
-            ExecBackend::Interp,
-        );
-        let oce = run_continuous(
-            &b,
-            &build_for(&b, ExecModel::Ocelot),
-            10,
-            7,
-            ExecBackend::Interp,
-        );
+        let continuous = |model| {
+            run_cell(&CellSpec::new(
+                "greenhouse",
+                model,
+                7,
+                Workload::Continuous { runs: 10 },
+            ))
+        };
+        let jit = continuous(ExecModel::Jit);
+        let oce = continuous(ExecModel::Ocelot);
         let ratio = oce.on_cycles as f64 / jit.on_cycles as f64;
         assert!(ratio > 1.0, "regions cost something: {ratio}");
         assert!(ratio < 1.3, "but not much: {ratio}");
@@ -469,45 +373,27 @@ mod tests {
     #[test]
     fn pathological_violates_jit_not_ocelot() {
         for b in ocelot_apps::all() {
-            let jit = build_for(&b, ExecModel::Jit);
-            let s = run_pathological(&b, &jit, 3, 9, ExecBackend::Interp);
+            let pathological = |model| {
+                run_cell(&CellSpec::new(
+                    b.name,
+                    model,
+                    9,
+                    Workload::Pathological { runs: 3 },
+                ))
+            };
+            let s = pathological(ExecModel::Jit);
             assert!(
                 s.runs_with_violation > 0,
                 "{}: JIT must violate under targeted failures",
                 b.name
             );
-            let oce = build_for(&b, ExecModel::Ocelot);
-            let s = run_pathological(&b, &oce, 3, 9, ExecBackend::Interp);
+            let s = pathological(ExecModel::Ocelot);
             assert_eq!(
                 s.runs_with_violation, 0,
                 "{}: Ocelot must survive targeted failures",
                 b.name
             );
         }
-    }
-
-    #[test]
-    fn cells_reproduce_the_serial_helpers() {
-        let b = ocelot_apps::by_name("greenhouse").unwrap();
-        let built = build_for(&b, ExecModel::Ocelot);
-        let serial = run_continuous(&b, &built, 3, 7, ExecBackend::Interp);
-        let cell = run_cell(&CellSpec::new(
-            "greenhouse",
-            ExecModel::Ocelot,
-            7,
-            Workload::Continuous { runs: 3 },
-        ));
-        assert_eq!(serial, cell);
-        // Harvested (non-asserting) matches run_intermittent when runs
-        // do complete.
-        let serial = run_intermittent(&b, &built, 2, 7, ExecBackend::Interp);
-        let cell = run_cell(&CellSpec::new(
-            "greenhouse",
-            ExecModel::Ocelot,
-            7,
-            Workload::Harvested { runs: 2 },
-        ));
-        assert_eq!(serial, cell);
     }
 
     #[test]
@@ -548,15 +434,21 @@ mod tests {
         // workloads: targeted failures at policy-critical points break
         // JIT and never break Ocelot.
         for b in ocelot_apps::extended() {
-            let jit = build_for(&b, ExecModel::Jit);
-            let s = run_pathological(&b, &jit, 3, 9, ExecBackend::Interp);
+            let pathological = |model| {
+                run_cell(&CellSpec::new(
+                    b.name,
+                    model,
+                    9,
+                    Workload::Pathological { runs: 3 },
+                ))
+            };
+            let s = pathological(ExecModel::Jit);
             assert!(
                 s.runs_with_violation > 0,
                 "{}: JIT must violate under targeted failures",
                 b.name
             );
-            let oce = build_for(&b, ExecModel::Ocelot);
-            let s = run_pathological(&b, &oce, 3, 9, ExecBackend::Interp);
+            let s = pathological(ExecModel::Ocelot);
             assert_eq!(
                 s.runs_with_violation, 0,
                 "{}: Ocelot must survive targeted failures",
@@ -643,9 +535,12 @@ mod tests {
 
     #[test]
     fn intermittent_power_charges_most_of_the_time() {
-        let b = ocelot_apps::by_name("photo").unwrap();
-        let built = build_for(&b, ExecModel::Ocelot);
-        let s = run_intermittent(&b, &built, 5, 3, ExecBackend::Interp);
+        let s = run_cell(&CellSpec::new(
+            "photo",
+            ExecModel::Ocelot,
+            3,
+            Workload::Intermittent { runs: 5 },
+        ));
         assert!(s.reboots > 0, "harvested power must fail");
         assert!(
             s.off_time_us > s.on_time_us,

@@ -146,6 +146,91 @@ impl Json {
         }
     }
 
+    // Strict readers: each returns the member or an error naming it, so
+    // a schema reader is a chain of `?`s.
+
+    /// A required member (last duplicate wins, as for [`Json::get`]).
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when the member is absent or `self` is no object.
+    pub fn req(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing member `{key}`"))
+    }
+
+    fn req_as<'a, T>(
+        &'a self,
+        key: &str,
+        ty: &str,
+        cast: fn(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        cast(self.req(key)?).ok_or_else(|| format!("member `{key}` is not {ty}"))
+    }
+
+    /// A required `u64` member.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when missing or not a non-negative integer in range.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.req_as(key, "a u64", Json::as_u64)
+    }
+
+    /// A required `i64` member.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when missing or not an integer in range.
+    pub fn req_i64(&self, key: &str) -> Result<i64, String> {
+        self.req_as(key, "an i64", Json::as_i64)
+    }
+
+    /// A required number member, as `f64`.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when missing or not a number.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.req_as(key, "a number", Json::as_f64)
+    }
+
+    /// A required string member.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when missing or not a string.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.req_as(key, "a string", Json::as_str)
+    }
+
+    /// A required boolean member.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when missing or not a bool.
+    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
+        self.req_as(key, "a bool", Json::as_bool)
+    }
+
+    /// A required array member.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when missing or not an array.
+    pub fn req_arr(&self, key: &str) -> Result<&[Json], String> {
+        self.req_as(key, "an array", Json::as_arr)
+    }
+
+    /// A required object member, as its pairs.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when missing or not an object.
+    pub fn req_obj(&self, key: &str) -> Result<&[(String, Json)], String> {
+        self.req_as(key, "an object", Json::as_obj)
+    }
+
     /// Serializes with two-space indentation and a trailing newline —
     /// the exact bytes written to result files.
     ///

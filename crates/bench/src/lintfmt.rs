@@ -94,9 +94,7 @@ pub fn from_json(text: &str) -> Result<Report, String> {
         return Err(format!("unsupported {SCHEMA} version"));
     }
     let findings = v
-        .get("findings")
-        .and_then(Json::as_arr)
-        .ok_or("missing findings array")?
+        .req_arr("findings")?
         .iter()
         .map(finding_from_json)
         .collect::<Result<Vec<_>, _>>()?;
@@ -108,7 +106,7 @@ pub fn from_json(text: &str) -> Result<Report, String> {
         ("warnings", report.warning_count()),
         ("notes", report.note_count()),
     ] {
-        if v.get(key).and_then(Json::as_u64) != Some(want as u64) {
+        if v.req_u64(key)? != want as u64 {
             return Err(format!("`{key}` count disagrees with the findings"));
         }
     }
@@ -116,29 +114,17 @@ pub fn from_json(text: &str) -> Result<Report, String> {
 }
 
 fn finding_from_json(v: &Json) -> Result<Finding, String> {
-    let code_str = v
-        .get("code")
-        .and_then(Json::as_str)
-        .ok_or("finding missing code")?;
+    let code_str = v.req_str("code")?;
     let code = Code::parse(code_str).ok_or_else(|| format!("unknown code `{code_str}`"))?;
-    let sev_str = v
-        .get("severity")
-        .and_then(Json::as_str)
-        .ok_or("finding missing severity")?;
+    let sev_str = v.req_str("severity")?;
     let severity = [Severity::Note, Severity::Warning, Severity::Error]
         .into_iter()
         .find(|s| s.as_str() == sev_str)
         .ok_or_else(|| format!("unknown severity `{sev_str}`"))?;
-    let message = v
-        .get("message")
-        .and_then(Json::as_str)
-        .ok_or("finding missing message")?
-        .to_string();
-    let primary = label_from_json(v.get("primary").ok_or("finding missing primary label")?)?;
+    let message = v.req_str("message")?.to_string();
+    let primary = label_from_json(v.req("primary")?)?;
     let related = v
-        .get("related")
-        .and_then(Json::as_arr)
-        .ok_or("finding missing related array")?
+        .req_arr("related")?
         .iter()
         .map(label_from_json)
         .collect::<Result<Vec<_>, _>>()?;
@@ -152,21 +138,11 @@ fn finding_from_json(v: &Json) -> Result<Finding, String> {
 }
 
 fn label_from_json(v: &Json) -> Result<Label, String> {
-    let field = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("label missing `{k}`"))
-    };
-    let message = v
-        .get("message")
-        .and_then(Json::as_str)
-        .ok_or("label missing message")?
-        .to_string();
     Ok(Label {
-        span: Span::new(field("start")? as usize, field("end")? as usize),
-        line: field("line")? as usize,
-        col: field("col")? as usize,
-        message,
+        span: Span::new(v.req_u64("start")? as usize, v.req_u64("end")? as usize),
+        line: v.req_u64("line")? as usize,
+        col: v.req_u64("col")? as usize,
+        message: v.req_str("message")?.to_string(),
     })
 }
 

@@ -33,18 +33,10 @@ fn instr_ref_to_json(r: &InstrRef) -> Json {
     ])
 }
 
-fn instr_ref_from_json(v: &Json) -> Result<InstrRef, ArtifactError> {
-    let func = v
-        .get("func")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ArtifactError::Schema("instr ref missing func".into()))?;
-    let label = v
-        .get("label")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ArtifactError::Schema("instr ref missing label".into()))?;
+fn instr_ref_from_json(v: &Json) -> Result<InstrRef, String> {
     Ok(InstrRef {
-        func: ocelot_ir::FuncId(func as u32),
-        label: ocelot_ir::Label(label as u32),
+        func: ocelot_ir::FuncId(v.req_u64("func")? as u32),
+        label: ocelot_ir::Label(v.req_u64("label")? as u32),
     })
 }
 
@@ -52,12 +44,8 @@ fn refs_to_json(refs: &[InstrRef]) -> Json {
     Json::Arr(refs.iter().map(instr_ref_to_json).collect())
 }
 
-fn refs_from_json(v: &Json, what: &str) -> Result<Vec<InstrRef>, ArtifactError> {
-    v.as_arr()
-        .ok_or_else(|| ArtifactError::Schema(format!("{what} is not an array")))?
-        .iter()
-        .map(instr_ref_from_json)
-        .collect()
+fn refs_from_json(arr: &[Json]) -> Result<Vec<InstrRef>, String> {
+    arr.iter().map(instr_ref_from_json).collect()
 }
 
 fn i64_to_json(v: i64) -> Json {
@@ -68,14 +56,9 @@ fn deps_to_json(deps: &ocelot_runtime::memory::Deps) -> Json {
     Json::Arr(deps.iter().map(|&d| Json::u64(d)).collect())
 }
 
-fn deps_from_json(v: &Json) -> Result<ocelot_runtime::memory::Deps, ArtifactError> {
-    v.as_arr()
-        .ok_or_else(|| ArtifactError::Schema("deps is not an array".into()))?
-        .iter()
-        .map(|d| {
-            d.as_u64()
-                .ok_or_else(|| ArtifactError::Schema("dep is not a u64".into()))
-        })
+fn deps_from_json(arr: &[Json]) -> Result<ocelot_runtime::memory::Deps, String> {
+    arr.iter()
+        .map(|d| d.as_u64().ok_or_else(|| "dep is not a u64".to_string()))
         .collect()
 }
 
@@ -162,80 +145,52 @@ pub fn obs_to_json(o: &Obs) -> Json {
     }
 }
 
-fn req<'a>(v: &'a Json, key: &str, ev: &str) -> Result<&'a Json, ArtifactError> {
-    v.get(key)
-        .ok_or_else(|| ArtifactError::Schema(format!("{ev} event missing `{key}`")))
-}
-
-fn req_u64(v: &Json, key: &str, ev: &str) -> Result<u64, ArtifactError> {
-    req(v, key, ev)?
-        .as_u64()
-        .ok_or_else(|| ArtifactError::Schema(format!("{ev} `{key}` is not a u64")))
-}
-
-fn req_i64(v: &Json, key: &str, ev: &str) -> Result<i64, ArtifactError> {
-    req(v, key, ev)?
-        .as_i64()
-        .ok_or_else(|| ArtifactError::Schema(format!("{ev} `{key}` is not an i64")))
-}
-
-fn req_str<'a>(v: &'a Json, key: &str, ev: &str) -> Result<&'a str, ArtifactError> {
-    req(v, key, ev)?
-        .as_str()
-        .ok_or_else(|| ArtifactError::Schema(format!("{ev} `{key}` is not a string")))
-}
-
 /// Inverse of [`obs_to_json`]; strict — an unknown event tag or a
 /// missing/mistyped field is an error.
 pub fn obs_from_json(v: &Json) -> Result<Obs, ArtifactError> {
-    let ev = v
-        .get("event")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ArtifactError::Schema("trace event missing `event` tag".into()))?;
-    match ev {
+    match v.req_str("event")? {
         "input" => Ok(Obs::Input {
-            at: instr_ref_from_json(req(v, "at", ev)?)?,
-            tau: req_u64(v, "tau", ev)?,
-            time_us: req_u64(v, "time_us", ev)?,
-            era: req_u64(v, "era", ev)?,
-            sensor: req_str(v, "sensor", ev)?.into(),
-            value: req_i64(v, "value", ev)?,
-            chain: std::sync::Arc::new(refs_from_json(req(v, "chain", ev)?, "chain")?),
+            at: instr_ref_from_json(v.req("at")?)?,
+            tau: v.req_u64("tau")?,
+            time_us: v.req_u64("time_us")?,
+            era: v.req_u64("era")?,
+            sensor: v.req_str("sensor")?.into(),
+            value: v.req_i64("value")?,
+            chain: std::sync::Arc::new(refs_from_json(v.req_arr("chain")?)?),
         }),
         "output" => Ok(Obs::Output {
-            at: instr_ref_from_json(req(v, "at", ev)?)?,
-            tau: req_u64(v, "tau", ev)?,
-            era: req_u64(v, "era", ev)?,
-            channel: req_str(v, "channel", ev)?.into(),
-            values: req(v, "values", ev)?
-                .as_arr()
-                .ok_or_else(|| ArtifactError::Schema("output values is not an array".into()))?
+            at: instr_ref_from_json(v.req("at")?)?,
+            tau: v.req_u64("tau")?,
+            era: v.req_u64("era")?,
+            channel: v.req_str("channel")?.into(),
+            values: v
+                .req_arr("values")?
                 .iter()
                 .map(|x| {
                     x.as_i64()
-                        .ok_or_else(|| ArtifactError::Schema("output value not an i64".into()))
+                        .ok_or_else(|| "output value not an i64".to_string())
                 })
                 .collect::<Result<_, _>>()?,
-            deps: deps_from_json(req(v, "deps", ev)?)?,
+            deps: deps_from_json(v.req_arr("deps")?)?,
         }),
         "use" => Ok(Obs::Use {
-            at: instr_ref_from_json(req(v, "at", ev)?)?,
-            tau: req_u64(v, "tau", ev)?,
-            time_us: req_u64(v, "time_us", ev)?,
-            era: req_u64(v, "era", ev)?,
-            deps: deps_from_json(req(v, "deps", ev)?)?,
+            at: instr_ref_from_json(v.req("at")?)?,
+            tau: v.req_u64("tau")?,
+            time_us: v.req_u64("time_us")?,
+            era: v.req_u64("era")?,
+            deps: deps_from_json(v.req_arr("deps")?)?,
         }),
         "reboot" => Ok(Obs::Reboot {
-            off_us: req_u64(v, "off_us", ev)?,
-            ended_era: req_u64(v, "ended_era", ev)?,
+            off_us: v.req_u64("off_us")?,
+            ended_era: v.req_u64("ended_era")?,
         }),
         "commit" => Ok(Obs::Commit {
-            region: ocelot_ir::RegionId(req_u64(v, "region", ev)? as u32),
-            tau: req_u64(v, "tau", ev)?,
+            region: ocelot_ir::RegionId(v.req_u64("region")? as u32),
+            tau: v.req_u64("tau")?,
         }),
         "violation" => Ok(Obs::Violation(ViolationEvent {
-            policy: ocelot_core::PolicyId(req_u64(v, "policy", ev)? as u32),
-            kind: match req_str(v, "kind", ev)? {
+            policy: ocelot_core::PolicyId(v.req_u64("policy")? as u32),
+            kind: match v.req_str("kind")? {
                 "freshness" => ViolationKind::Freshness,
                 "consistency" => ViolationKind::Consistency,
                 other => {
@@ -244,10 +199,10 @@ pub fn obs_from_json(v: &Json) -> Result<Obs, ArtifactError> {
                     )))
                 }
             },
-            at: instr_ref_from_json(req(v, "at", ev)?)?,
-            tau: req_u64(v, "tau", ev)?,
-            era: req_u64(v, "era", ev)?,
-            stale_ops: refs_from_json(req(v, "stale_ops", ev)?, "stale_ops")?,
+            at: instr_ref_from_json(v.req("at")?)?,
+            tau: v.req_u64("tau")?,
+            era: v.req_u64("era")?,
+            stale_ops: refs_from_json(v.req_arr("stale_ops")?)?,
         })),
         other => Err(ArtifactError::Schema(format!(
             "unknown trace event `{other}`"
@@ -287,10 +242,7 @@ pub fn render_traces(a: &Artifact) -> Result<String, ArtifactError> {
         a.cells.len()
     );
     for cell in &a.cells {
-        let trace = trace_from_json(
-            cell.get("trace")
-                .ok_or_else(|| ArtifactError::Schema("cell has no trace member".into()))?,
-        )?;
+        let trace = trace_from_json(cell.req("trace")?)?;
         let mut id = Vec::new();
         for key in ["bench", "model", "scenario"] {
             if let Some(s) = cell.get(key).and_then(Json::as_str) {

@@ -5,9 +5,9 @@
 //! [`FleetSpec::device_spec`] describes, so folding the oracle's
 //! per-cell stats into per-scenario aggregates must equal the fleet
 //! path **exactly** — same summed counters, same reboot and freshness
-//! histograms — on both execution backends, at any worker count,
-//! whether the read-only machine core is shared across workers or
-//! rebuilt inside each one.
+//! histograms — on both execution backends and at any worker count,
+//! although every oracle cell builds its own core while the fleet
+//! shares one read-only core per scenario across its workers.
 
 use ocelot_bench::fleet::{fleet_artifact, run_fleet, FleetAggregate, FleetOpts, FleetSpec};
 use ocelot_bench::harness::run_cells;
@@ -72,7 +72,7 @@ proptest! {
         for backend in [ExecBackend::Interp, ExecBackend::Compiled] {
             let mut spec = spec_with(backend, scenarios.clone(), devices, seed0);
             spec.runs = runs;
-            let fleet = run_fleet(&spec, FleetOpts { jobs: 2, share_core: true });
+            let fleet = run_fleet(&spec, FleetOpts { jobs: 2 });
             let oracle = oracle_fold(&spec, 2);
             prop_assert_eq!(&fleet, &oracle, "fleet != oracle on {:?}", backend);
             per_backend.push(fleet);
@@ -95,13 +95,7 @@ fn fleet_artifacts_are_byte_identical_across_jobs() {
     let spec = determinism_spec(ExecBackend::Compiled);
     let mut texts = Vec::new();
     for jobs in [1usize, 2, 8] {
-        let aggs = run_fleet(
-            &spec,
-            FleetOpts {
-                jobs,
-                share_core: true,
-            },
-        );
+        let aggs = run_fleet(&spec, FleetOpts { jobs });
         texts.push(fleet_artifact(&spec, &aggs).render().unwrap());
     }
     assert_eq!(texts[0], texts[1], "--jobs 1 vs 2 changed the artifact");
@@ -109,44 +103,14 @@ fn fleet_artifacts_are_byte_identical_across_jobs() {
 }
 
 #[test]
-fn shared_and_per_worker_cores_give_byte_identical_artifacts() {
-    let spec = determinism_spec(ExecBackend::Compiled);
-    let shared = run_fleet(
-        &spec,
-        FleetOpts {
-            jobs: 4,
-            share_core: true,
-        },
-    );
-    let rebuilt = run_fleet(
-        &spec,
-        FleetOpts {
-            jobs: 4,
-            share_core: false,
-        },
-    );
-    assert_eq!(
-        fleet_artifact(&spec, &shared).render().unwrap(),
-        fleet_artifact(&spec, &rebuilt).render().unwrap(),
-        "sharing the read-only core across workers changed results"
-    );
-}
-
-#[test]
 fn backends_agree_on_a_full_registry_fleet() {
     let interp = run_fleet(
         &determinism_spec(ExecBackend::Interp),
-        FleetOpts {
-            jobs: 4,
-            share_core: true,
-        },
+        FleetOpts { jobs: 4 },
     );
     let compiled = run_fleet(
         &determinism_spec(ExecBackend::Compiled),
-        FleetOpts {
-            jobs: 4,
-            share_core: true,
-        },
+        FleetOpts { jobs: 4 },
     );
     // Aggregates match except for the recorded backend, which lives in
     // the artifact config, not the aggregates — so exact equality.
@@ -170,13 +134,7 @@ fn backends_agree_on_a_full_registry_fleet() {
 #[test]
 fn fleet_artifact_round_trips_through_the_schema() {
     let spec = determinism_spec(ExecBackend::Compiled);
-    let aggs = run_fleet(
-        &spec,
-        FleetOpts {
-            jobs: 2,
-            share_core: true,
-        },
-    );
+    let aggs = run_fleet(&spec, FleetOpts { jobs: 2 });
     let a = fleet_artifact(&spec, &aggs);
     let reloaded = ocelot_bench::artifact::Artifact::from_text(&a.render().unwrap()).unwrap();
     let back: Vec<FleetAggregate> = reloaded

@@ -5,7 +5,7 @@
 
 use ocelot_bench::artifact::{stats_from_json, stats_to_json};
 use ocelot_bench::json::{parse, Json};
-use ocelot_runtime::stats::Stats;
+use ocelot_runtime::stats::{Breakdown, Stats};
 use proptest::prelude::*;
 
 /// Any finite `f64`, via raw bits (non-finite bit patterns fall back to
@@ -36,16 +36,15 @@ fn arb_string() -> impl Strategy<Value = String> {
 /// the full `u64` range, built through the serialization surface so the
 /// generator can never miss a field.
 fn arb_stats() -> impl Strategy<Value = Stats> {
-    proptest::collection::vec(any::<u64>(), 26..=26).prop_map(|vals| {
+    let n = Stats::COUNTERS + Breakdown::COUNTERS;
+    proptest::collection::vec(any::<u64>(), n..=n).prop_map(|vals| {
         let mut s = Stats::default();
         let mut it = vals.into_iter();
-        let names: Vec<&'static str> = s.counters().iter().map(|(n, _)| *n).collect();
-        for name in names {
-            s.set_counter(name, it.next().unwrap());
+        for (name, _) in Stats::default().counters() {
+            *s.counter_mut(name).unwrap() = it.next().unwrap();
         }
-        let bnames: Vec<&'static str> = s.breakdown.counters().iter().map(|(n, _)| *n).collect();
-        for name in bnames {
-            s.breakdown.set_counter(name, it.next().unwrap());
+        for (name, _) in Breakdown::default().counters() {
+            *s.breakdown.counter_mut(name).unwrap() = it.next().unwrap();
         }
         s
     })

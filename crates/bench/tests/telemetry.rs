@@ -50,10 +50,7 @@ fn artifacts_are_byte_identical_with_telemetry_enabled() {
     };
     let d = drivers::by_name("table2a").expect("driver exists");
     let spec = small_fleet();
-    let fleet_opts = || FleetOpts {
-        jobs: 2,
-        share_core: true,
-    };
+    let fleet_opts = || FleetOpts { jobs: 2 };
 
     telemetry(false);
     let driver_off = (d.collect)(&opts).render().unwrap();
@@ -81,13 +78,7 @@ fn fleet_trace_round_trips_with_the_expected_span_names() {
     ocelot_telemetry::drain_spans();
     ocelot_telemetry::set_tracing(true);
     let spec = small_fleet();
-    run_fleet(
-        &spec,
-        FleetOpts {
-            jobs: 2,
-            share_core: true,
-        },
-    );
+    run_fleet(&spec, FleetOpts { jobs: 2 });
     ocelot_telemetry::set_tracing(false);
 
     // Render exactly what `--trace-out` writes, then round-trip it
@@ -127,15 +118,7 @@ fn metrics_overhead_stays_within_five_percent() {
     let _guard = serial();
     telemetry(false);
     let mut spec = small_fleet();
-    let sweep = |spec: &FleetSpec| {
-        run_fleet(
-            spec,
-            FleetOpts {
-                jobs: 2,
-                share_core: true,
-            },
-        )
-    };
+    let sweep = |spec: &FleetSpec| run_fleet(spec, FleetOpts { jobs: 2 });
     // Calibrate the workload up until one sweep is long enough that
     // millisecond jitter cannot fake a 5% delta.
     loop {

@@ -1,173 +1,136 @@
 //! Execution statistics: the measurements behind Figures 7–8 and
 //! Table 2.
 
-/// Counters accumulated by a [`crate::machine::Machine`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Active CPU cycles.
-    pub on_cycles: u64,
-    /// Active wall-clock time in µs.
-    pub on_time_us: u64,
-    /// Off/charging wall-clock time in µs.
-    pub off_time_us: u64,
-    /// Power failures survived.
-    pub reboots: u64,
-    /// JIT checkpoints taken (at low-power interrupts in JIT mode).
-    pub jit_checkpoints: u64,
-    /// Atomic regions entered (outermost only).
-    pub region_entries: u64,
-    /// Atomic regions committed.
-    pub region_commits: u64,
-    /// Atomic region re-executions after in-region failures.
-    pub region_reexecs: u64,
-    /// Words written to undo logs.
-    pub log_words: u64,
-    /// Words of volatile state checkpointed.
-    pub ckpt_words: u64,
-    /// Output operations committed.
-    pub outputs: u64,
-    /// Detector violations (total).
-    pub violations: u64,
-    /// Freshness violations.
-    pub fresh_violations: u64,
-    /// Temporal-consistency violations.
-    pub consistency_violations: u64,
-    /// Completed program runs.
-    pub runs_completed: u64,
-    /// Completed runs containing at least one violation.
-    pub runs_with_violation: u64,
-    /// Instructions retired.
-    pub instructions: u64,
-    /// TICS-mode expiry checks that tripped (the value's age exceeded
-    /// the window at a use site).
-    pub expiry_trips: u64,
-    /// TICS-mode mitigation handlers run (the run restarted to
-    /// re-collect inputs).
-    pub expiry_restarts: u64,
-    /// TICS-mode trips that exceeded the per-run mitigation cap and
-    /// proceeded with the stale value anyway.
-    pub expiry_giveups: u64,
-    /// Cycle breakdown by category.
-    pub breakdown: Breakdown,
+/// Declares a counter table once: the struct with one `pub u64` field
+/// per counter (plus an optional `nested` table after the braces), and
+/// the by-name surfaces every serializer and aggregator goes through,
+/// so a counter added here is summed, written and read with no further
+/// edits.
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* $field:ident,)*
+        }
+        $($(#[$nmeta:meta])* nested $nested:ident: $nty:ty;)?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: u64,)*
+            $($(#[$nmeta])* pub $nested: $nty,)?
+        }
+
+        impl $name {
+            /// Number of `u64` counters (a nested table not included).
+            pub const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order — the serialization surface of the bench harness's
+            /// persisted artifacts.
+            pub fn counters(&self) -> [(&'static str, u64); Self::COUNTERS] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            /// The counter called `name`; `None` for unknown names
+            /// (deserializers treat that as a schema mismatch).
+            pub fn counter_mut(&mut self, name: &str) -> Option<&mut u64> {
+                match name {
+                    $(stringify!($field) => Some(&mut self.$field),)*
+                    _ => None,
+                }
+            }
+
+            /// Adds every counter of `other` (a nested table included)
+            /// into `self`, in place.
+            #[inline]
+            pub fn accumulate(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+                $(self.$nested.accumulate(&other.$nested);)?
+            }
+        }
+    };
 }
 
-/// Where the active cycles went — the denominators of the overhead
-/// figures.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Breakdown {
-    /// Plain compute: ALU, branches, calls.
-    pub compute: u64,
-    /// Sensor sampling.
-    pub input: u64,
-    /// Output operations (UART/radio).
-    pub output: u64,
-    /// Volatile checkpoints: JIT low-power saves and region-entry
-    /// snapshots.
-    pub checkpoint: u64,
-    /// Undo-log writes (eager ω plus dynamic first-writes).
-    pub undo_log: u64,
-    /// Restores after reboot (volatile state, log application).
-    pub restore: u64,
+counter_table! {
+    /// Counters accumulated by a [`crate::machine::Machine`].
+    pub struct Stats {
+        /// Active CPU cycles.
+        on_cycles,
+        /// Active wall-clock time in µs.
+        on_time_us,
+        /// Off/charging wall-clock time in µs.
+        off_time_us,
+        /// Power failures survived.
+        reboots,
+        /// JIT checkpoints taken (at low-power interrupts in JIT mode).
+        jit_checkpoints,
+        /// Atomic regions entered (outermost only).
+        region_entries,
+        /// Atomic regions committed.
+        region_commits,
+        /// Atomic region re-executions after in-region failures.
+        region_reexecs,
+        /// Words written to undo logs.
+        log_words,
+        /// Words of volatile state checkpointed.
+        ckpt_words,
+        /// Output operations committed.
+        outputs,
+        /// Detector violations (total).
+        violations,
+        /// Freshness violations.
+        fresh_violations,
+        /// Temporal-consistency violations.
+        consistency_violations,
+        /// Completed program runs.
+        runs_completed,
+        /// Completed runs containing at least one violation.
+        runs_with_violation,
+        /// Instructions retired.
+        instructions,
+        /// TICS-mode expiry checks that tripped (the value's age exceeded
+        /// the window at a use site).
+        expiry_trips,
+        /// TICS-mode mitigation handlers run (the run restarted to
+        /// re-collect inputs).
+        expiry_restarts,
+        /// TICS-mode trips that exceeded the per-run mitigation cap and
+        /// proceeded with the stale value anyway.
+        expiry_giveups,
+    }
+    /// Cycle breakdown by category.
+    nested breakdown: Breakdown;
+}
+
+counter_table! {
+    /// Where the active cycles went — the denominators of the overhead
+    /// figures.
+    pub struct Breakdown {
+        /// Plain compute: ALU, branches, calls.
+        compute,
+        /// Sensor sampling.
+        input,
+        /// Output operations (UART/radio).
+        output,
+        /// Volatile checkpoints: JIT low-power saves and region-entry
+        /// snapshots.
+        checkpoint,
+        /// Undo-log writes (eager ω plus dynamic first-writes).
+        undo_log,
+        /// Restores after reboot (volatile state, log application).
+        restore,
+    }
 }
 
 impl Breakdown {
     /// Total accounted cycles.
     pub fn total(&self) -> u64 {
-        self.compute + self.input + self.output + self.checkpoint + self.undo_log + self.restore
-    }
-
-    /// Every counter as a `(name, value)` pair, in declaration order —
-    /// the serialization surface used by the bench harness's persisted
-    /// result artifacts. Adding a field here (and to [`Breakdown`])
-    /// keeps serializers from silently drifting out of sync.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("compute", self.compute),
-            ("input", self.input),
-            ("output", self.output),
-            ("checkpoint", self.checkpoint),
-            ("undo_log", self.undo_log),
-            ("restore", self.restore),
-        ]
-    }
-
-    /// Sets the counter called `name`; returns `false` for unknown
-    /// names (deserializers treat that as a schema mismatch).
-    pub fn set_counter(&mut self, name: &str, value: u64) -> bool {
-        let slot = match name {
-            "compute" => &mut self.compute,
-            "input" => &mut self.input,
-            "output" => &mut self.output,
-            "checkpoint" => &mut self.checkpoint,
-            "undo_log" => &mut self.undo_log,
-            "restore" => &mut self.restore,
-            _ => return false,
-        };
-        *slot = value;
-        true
+        self.counters().iter().map(|&(_, v)| v).sum()
     }
 }
 
 impl Stats {
-    /// Every scalar counter as a `(name, value)` pair, in declaration
-    /// order ([`Breakdown`] is exposed separately via
-    /// [`Breakdown::counters`]). This is the stable serialization
-    /// surface for persisted bench artifacts.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("on_cycles", self.on_cycles),
-            ("on_time_us", self.on_time_us),
-            ("off_time_us", self.off_time_us),
-            ("reboots", self.reboots),
-            ("jit_checkpoints", self.jit_checkpoints),
-            ("region_entries", self.region_entries),
-            ("region_commits", self.region_commits),
-            ("region_reexecs", self.region_reexecs),
-            ("log_words", self.log_words),
-            ("ckpt_words", self.ckpt_words),
-            ("outputs", self.outputs),
-            ("violations", self.violations),
-            ("fresh_violations", self.fresh_violations),
-            ("consistency_violations", self.consistency_violations),
-            ("runs_completed", self.runs_completed),
-            ("runs_with_violation", self.runs_with_violation),
-            ("instructions", self.instructions),
-            ("expiry_trips", self.expiry_trips),
-            ("expiry_restarts", self.expiry_restarts),
-            ("expiry_giveups", self.expiry_giveups),
-        ]
-    }
-
-    /// Sets the scalar counter called `name`; returns `false` for
-    /// unknown names (deserializers treat that as a schema mismatch).
-    pub fn set_counter(&mut self, name: &str, value: u64) -> bool {
-        let slot = match name {
-            "on_cycles" => &mut self.on_cycles,
-            "on_time_us" => &mut self.on_time_us,
-            "off_time_us" => &mut self.off_time_us,
-            "reboots" => &mut self.reboots,
-            "jit_checkpoints" => &mut self.jit_checkpoints,
-            "region_entries" => &mut self.region_entries,
-            "region_commits" => &mut self.region_commits,
-            "region_reexecs" => &mut self.region_reexecs,
-            "log_words" => &mut self.log_words,
-            "ckpt_words" => &mut self.ckpt_words,
-            "outputs" => &mut self.outputs,
-            "violations" => &mut self.violations,
-            "fresh_violations" => &mut self.fresh_violations,
-            "consistency_violations" => &mut self.consistency_violations,
-            "runs_completed" => &mut self.runs_completed,
-            "runs_with_violation" => &mut self.runs_with_violation,
-            "instructions" => &mut self.instructions,
-            "expiry_trips" => &mut self.expiry_trips,
-            "expiry_restarts" => &mut self.expiry_restarts,
-            "expiry_giveups" => &mut self.expiry_giveups,
-            _ => return false,
-        };
-        *slot = value;
-        true
-    }
-
     /// Total wall-clock time (on + off) in µs.
     pub fn total_time_us(&self) -> u64 {
         self.on_time_us + self.off_time_us
@@ -204,51 +167,49 @@ mod tests {
         assert!((s.violating_fraction() - 0.25).abs() < 1e-12);
     }
 
+    /// A `Stats` with every counter distinct and non-zero, built
+    /// through the table alone.
+    fn numbered() -> Stats {
+        let mut s = Stats::default();
+        for (i, (name, _)) in Stats::default().counters().into_iter().enumerate() {
+            *s.counter_mut(name).unwrap() = i as u64 + 1;
+        }
+        for (i, (name, _)) in Breakdown::default().counters().into_iter().enumerate() {
+            *s.breakdown.counter_mut(name).unwrap() = (Stats::COUNTERS + i) as u64 + 1;
+        }
+        s
+    }
+
     #[test]
     fn counters_cover_every_field_and_round_trip() {
-        // Exhaustive struct literal: adding a field without extending
-        // `counters`/`set_counter` makes `b` below differ from `a`.
-        let a = Stats {
-            on_cycles: 1,
-            on_time_us: 2,
-            off_time_us: 3,
-            reboots: 4,
-            jit_checkpoints: 5,
-            region_entries: 6,
-            region_commits: 7,
-            region_reexecs: 8,
-            log_words: 9,
-            ckpt_words: 10,
-            outputs: 11,
-            violations: 12,
-            fresh_violations: 13,
-            consistency_violations: 14,
-            runs_completed: 15,
-            runs_with_violation: 16,
-            instructions: 17,
-            expiry_trips: 18,
-            expiry_restarts: 19,
-            expiry_giveups: 20,
-            breakdown: Breakdown {
-                compute: 21,
-                input: 22,
-                output: 23,
-                checkpoint: 24,
-                undo_log: 25,
-                restore: 26,
-            },
-        };
+        let a = numbered();
+        // The table's order is the declaration order the artifacts
+        // persist, and it reaches the named fields.
+        assert_eq!((a.on_cycles, a.expiry_giveups), (1, 20));
+        assert_eq!((a.breakdown.compute, a.breakdown.restore), (21, 26));
         // Rebuild a second Stats from the pair lists alone.
         let mut b = Stats::default();
         for (name, v) in a.counters() {
-            assert!(b.set_counter(name, v), "unknown counter {name}");
+            *b.counter_mut(name).expect("listed counters resolve") = v;
         }
         for (name, v) in a.breakdown.counters() {
-            assert!(b.breakdown.set_counter(name, v), "unknown counter {name}");
+            *b.breakdown
+                .counter_mut(name)
+                .expect("listed counters resolve") = v;
         }
-        assert_eq!(a, b, "counters()/set_counter must cover every field");
-        assert!(!b.set_counter("no_such_counter", 1));
-        assert!(!b.breakdown.set_counter("no_such_counter", 1));
+        assert_eq!(a, b, "counters()/counter_mut must cover every field");
+        assert!(b.counter_mut("no_such_counter").is_none());
+        assert!(
+            b.counter_mut("breakdown").is_none(),
+            "nested tables are not counters"
+        );
+        assert!(b.breakdown.counter_mut("no_such_counter").is_none());
+        // The in-place sum covers every counter, the nested table too.
+        b.accumulate(&a);
+        for ((name, x), (_, y)) in a.counters().into_iter().zip(b.counters()) {
+            assert_eq!(2 * x, y, "{name} not summed");
+        }
+        assert_eq!(b.breakdown.total(), 2 * (21..=26).sum::<u64>());
     }
 
     #[test]

@@ -209,9 +209,8 @@ fn run_shape(req: &Json) -> Result<(u64, ExecBackend, OptLevel), String> {
         .unwrap_or(DEFAULT_RUNS);
     let backend = match req.get("backend").and_then(Json::as_str) {
         None => ExecBackend::Interp,
-        Some("interp") => ExecBackend::Interp,
-        Some("compiled") => ExecBackend::Compiled,
-        Some(b) => return Err(format!("unknown backend `{b}` (known: interp, compiled)")),
+        Some(b) => ExecBackend::parse(b)
+            .ok_or_else(|| format!("unknown backend `{b}` (known: interp, compiled)"))?,
     };
     let opt = match req.get("opt") {
         None => OptLevel::default(),
@@ -490,6 +489,21 @@ mod tests {
         assert_eq!(
             bad.get("error").and_then(Json::as_str),
             Some("invalid `opt` value `1`: accepted values are `0` or `2`")
+        );
+        // `backend` takes the engine names; any other is an error
+        // response naming the known ones.
+        let (bad, _) = handle_request(
+            &mut s,
+            &Json::obj(vec![
+                ("op", Json::str("run")),
+                ("program", Json::u64(hash)),
+                ("scenario", Json::str("rf-lab")),
+                ("backend", Json::str("jit")),
+            ]),
+        );
+        assert_eq!(
+            bad.get("error").and_then(Json::as_str),
+            Some("unknown backend `jit` (known: interp, compiled)")
         );
     }
 
