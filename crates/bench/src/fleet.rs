@@ -188,9 +188,10 @@ impl FleetAggregate {
 /// Runs the whole fleet and returns one aggregate per entry of
 /// `spec.scenarios`, in that order.
 ///
-/// The program is built once; each scenario shares one read-only
-/// [`MachineCore`] (so the compiled program, chain table, and layouts
-/// are constructed once per scenario, not per device), and each worker
+/// The program is built once; scenarios share one read-only
+/// [`MachineCore`] per distinct sensor-channel layout (so the compiled
+/// program, chain table, and layouts are constructed once per layout,
+/// not per scenario or device), and each worker
 /// recycles a single [`DeviceState`] across all its devices. Device
 /// indices are split into contiguous chunks; chunk aggregates merge in
 /// index order, and because every merged quantity is an exact `u64`
@@ -214,19 +215,28 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
         .iter()
         .map(|s| ocelot_scenario::parse(s).unwrap_or_else(|e| panic!("fleet scenario: {e}")))
         .collect();
-    let cores: Vec<Arc<MachineCore<'_>>> = scenarios
+    // A core records only the channel layout of its environment, and
+    // that layout is a pure function of the scenario shape (seeds only
+    // perturb signal values), so any device seed works here and
+    // scenarios with one layout share one core and its compiled program.
+    let mut cores: Vec<Arc<MachineCore<'_>>> = Vec::new();
+    let core_of: Vec<usize> = scenarios
         .iter()
         .map(|sc| {
-            // The channel layout recorded in the core is a pure
-            // function of the scenario shape (seeds only perturb
-            // signal values), so any device seed works here.
-            Arc::new(MachineCore::build(
-                &built.program,
-                &built.regions,
-                built.policies.clone(),
-                &sc.reseeded(spec.seed0).environment(),
-                calibrated_costs(&b),
-            ))
+            let env = sc.reseeded(spec.seed0).environment();
+            cores
+                .iter()
+                .position(|c| c.accepts(&env))
+                .unwrap_or_else(|| {
+                    cores.push(Arc::new(MachineCore::build(
+                        &built.program,
+                        &built.regions,
+                        built.policies.clone(),
+                        &env,
+                        calibrated_costs(&b),
+                    )));
+                    cores.len() - 1
+                })
         })
         .collect();
     let n_scenarios = spec.scenarios.len() as u64;
@@ -239,7 +249,7 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
     while lo < spec.devices {
         let hi = (lo + chunk).min(spec.devices);
         let scenarios = &scenarios;
-        let cores = &cores;
+        let (cores, core_of) = (&cores, &core_of);
         work.push(Box::new(move || {
             let _span = ocelot_telemetry::span!("fleet.chunk", "fleet");
             let mut aggs: Vec<FleetAggregate> = spec
@@ -252,7 +262,7 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
                 let s_idx = (i % n_scenarios) as usize;
                 let sc = scenarios[s_idx].reseeded(spec.seed0 + i);
                 let mut m = Machine::from_core(
-                    Arc::clone(&cores[s_idx]),
+                    Arc::clone(&cores[core_of[s_idx]]),
                     std::mem::take(&mut dev),
                     sc.environment(),
                     sc.supply(),

@@ -37,8 +37,6 @@ pub struct CostModel {
     pub log_word: u64,
     /// Nanoseconds per cycle (125 ns at 8 MHz).
     pub cycle_ns: u64,
-    /// Average active-mode energy per cycle, in nanojoules.
-    pub energy_per_cycle_nj: f64,
 }
 
 impl Default for CostModel {
@@ -54,7 +52,6 @@ impl Default for CostModel {
             ckpt_word: 8,
             log_word: 8,
             cycle_ns: 125,
-            energy_per_cycle_nj: 1.0,
         }
     }
 }
@@ -79,9 +76,11 @@ impl CostModel {
         (cycles * self.cycle_ns).div_ceil(1_000)
     }
 
-    /// Energy in nanojoules consumed by `cycles` active cycles.
+    /// Energy in nanojoules consumed by `cycles` active cycles: one nJ
+    /// per cycle, so every draw is a whole number of nanojoules (what
+    /// makes [`crate::power::PowerSupply::consume_batch`] exact).
     pub fn cycles_to_nj(&self, cycles: u64) -> f64 {
-        cycles as f64 * self.energy_per_cycle_nj
+        cycles as f64
     }
 
     /// Cycles to take a checkpoint of `volatile_words` of state.
@@ -108,6 +107,26 @@ pub enum PowerEvent {
     /// The low-power interrupt fired: checkpoint (JIT mode) and shut
     /// down. The reserve below the trigger still suffices for that.
     LowPower,
+}
+
+/// Draws `total_nj` — a sum of whole-nJ draws — from `level_nj` in one
+/// subtraction and returns true, when that leaves exactly the bits the
+/// in-order draws would and none of them reaches `trip_nj`; otherwise
+/// leaves the level untouched and returns false.
+///
+/// Draws only lower the level. Below 2^53 every whole number is a
+/// multiple of the level's ulp, so each in-order subtraction is exact
+/// and their result equals the single one; an infinite level stays
+/// infinite either way. A final level strictly above the trip point
+/// then means no intermediate level reached it (or was clamped at 0).
+pub(crate) fn draw_batch_exact(level_nj: &mut f64, total_nj: f64, trip_nj: f64) -> bool {
+    const EXACT_BELOW: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
+    let after = *level_nj - total_nj;
+    let drawn = after > trip_nj && (*level_nj < EXACT_BELOW || *level_nj == f64::INFINITY);
+    if drawn {
+        *level_nj = after;
+    }
+    drawn
 }
 
 /// A capacitor bank with a comparator trigger.
@@ -160,19 +179,26 @@ impl Capacitor {
     }
 
     /// Draws `energy_nj`; reports [`PowerEvent::LowPower`] when the level
-    /// crosses the trigger.
+    /// crosses the trigger. A draw that starts already below the trigger
+    /// (the reserve zone, where the caller is finishing its checkpoint)
+    /// does not re-trigger.
     pub fn consume(&mut self, energy_nj: f64) -> PowerEvent {
         let was_above = self.level_nj > self.trigger_nj;
         self.level_nj = (self.level_nj - energy_nj).max(0.0);
         if was_above && self.level_nj <= self.trigger_nj {
             PowerEvent::LowPower
-        } else if self.level_nj <= self.trigger_nj {
-            // Already below trigger (reserve zone): the caller is
-            // finishing its checkpoint; don't re-trigger.
-            PowerEvent::Ok
         } else {
             PowerEvent::Ok
         }
+    }
+
+    /// Draws a batch of whole-nJ draws totalling `energy_nj` in one
+    /// subtraction when none of them, drawn in order through
+    /// [`Capacitor::consume`], could trip the comparator; otherwise
+    /// leaves the level untouched and returns false (see
+    /// [`crate::power::PowerSupply::consume_batch`]).
+    pub fn consume_batch(&mut self, energy_nj: f64) -> bool {
+        draw_batch_exact(&mut self.level_nj, energy_nj, self.trigger_nj)
     }
 
     /// Energy needed to refill completely.
@@ -223,6 +249,19 @@ mod tests {
         // In the reserve zone no re-trigger.
         assert_eq!(cap.consume(5.0), PowerEvent::Ok);
         assert!(cap.level_nj() >= 0.0);
+    }
+
+    #[test]
+    fn capacitor_batch_is_refused_when_it_would_reach_the_trigger() {
+        let mut cap = Capacitor::new(100.0, 20.0);
+        assert!(!cap.consume_batch(80.0), "landing on the trigger trips");
+        assert_eq!(cap.level_nj(), 100.0, "a refused batch draws nothing");
+        assert!(cap.consume_batch(79.0));
+        assert_eq!(cap.level_nj(), 21.0);
+        // In the reserve zone every batch is refused: the caller is
+        // checkpointing, and single draws there never re-trigger.
+        cap.consume(5.0);
+        assert!(!cap.consume_batch(0.0));
     }
 
     #[test]

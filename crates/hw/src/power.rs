@@ -6,7 +6,7 @@
 //! asks for the off/charging time before reboot — the arbitrary `n` that
 //! the paper's `pick(n)` models in the reboot rules (Appendix H).
 
-use crate::energy::{Capacitor, PowerEvent};
+use crate::energy::{draw_batch_exact, Capacitor, PowerEvent};
 use crate::harvest::Harvester;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +23,20 @@ pub trait PowerSupply: Send {
     /// shut down.
     fn consume(&mut self, energy_nj: f64) -> PowerEvent;
 
+    /// Draws the energy of a whole pre-costed instruction batch in one
+    /// call — the compiled execution backend charges straight-line
+    /// runs this way instead of once per instruction.
+    ///
+    /// `energy_nj` is the sum of the batch's per-instruction draws, each
+    /// a whole number of nanojoules. The supply draws it only if drawing
+    /// those parts one by one through [`PowerSupply::consume`] could not
+    /// have tripped the comparator, leaving exactly the state the
+    /// in-order draws would, and returns true. Otherwise it leaves
+    /// itself untouched and returns false, and the caller runs the
+    /// batch step by step, so the low-power interrupt lands on the same
+    /// instruction it would without batching.
+    fn consume_batch(&mut self, energy_nj: f64) -> bool;
+
     /// Off-time in microseconds until the system can reboot, refilling
     /// storage as a side effect.
     fn recharge(&mut self) -> u64;
@@ -30,28 +44,6 @@ pub trait PowerSupply: Send {
     /// True for supplies that never fail (continuous power).
     fn is_continuous(&self) -> bool {
         false
-    }
-
-    /// Draws the energy of a whole pre-costed instruction batch in one
-    /// call — the compiled execution backend charges straight-line
-    /// blocks this way instead of once per instruction.
-    ///
-    /// A single batched draw is only exact when the comparator cannot
-    /// trip mid-batch, so callers must batch only on supplies whose
-    /// [`PowerSupply::is_continuous`] is true; on a finite supply the
-    /// per-instruction draw sequence determines *which* instruction the
-    /// low-power interrupt lands on, and collapsing it would move the
-    /// checkpoint. The default forwards to [`PowerSupply::consume`] and
-    /// makes that contract self-enforcing: batching a finite supply is
-    /// a caller bug, caught by a debug assertion rather than by a
-    /// silently relocated checkpoint.
-    fn consume_batch(&mut self, energy_nj: f64) -> PowerEvent {
-        debug_assert!(
-            self.is_continuous(),
-            "batched energy draws are only exact on continuous supplies \
-             (per-instruction draws decide where the comparator trips)"
-        );
-        self.consume(energy_nj)
     }
 }
 
@@ -62,6 +54,10 @@ pub struct ContinuousPower;
 impl PowerSupply for ContinuousPower {
     fn consume(&mut self, _energy_nj: f64) -> PowerEvent {
         PowerEvent::Ok
+    }
+
+    fn consume_batch(&mut self, _energy_nj: f64) -> bool {
+        true
     }
 
     fn recharge(&mut self) -> u64 {
@@ -121,6 +117,10 @@ impl PowerSupply for HarvestedPower {
         self.capacitor.consume(energy_nj)
     }
 
+    fn consume_batch(&mut self, energy_nj: f64) -> bool {
+        self.capacitor.consume_batch(energy_nj)
+    }
+
     fn recharge(&mut self) -> u64 {
         let t = self.harvester.charge_time_us(self.capacitor.deficit_nj());
         self.capacitor.refill();
@@ -175,6 +175,10 @@ impl PowerSupply for ScriptedPower {
         }
     }
 
+    fn consume_batch(&mut self, energy_nj: f64) -> bool {
+        draw_batch_exact(&mut self.current, energy_nj, 0.0)
+    }
+
     fn recharge(&mut self) -> u64 {
         self.exhausted_budgets += 1;
         self.current = self
@@ -226,6 +230,10 @@ impl PowerSupply for RandomPower {
         }
     }
 
+    fn consume_batch(&mut self, energy_nj: f64) -> bool {
+        draw_batch_exact(&mut self.current, energy_nj, 0.0)
+    }
+
     fn recharge(&mut self) -> u64 {
         self.current = sample_exp(&mut self.rng, self.mean_budget_nj);
         let off = sample_exp(&mut self.rng, self.mean_off_us as f64);
@@ -236,6 +244,8 @@ impl PowerSupply for RandomPower {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn continuous_never_fails() {
@@ -245,31 +255,81 @@ mod tests {
         }
         assert!(p.is_continuous());
         assert_eq!(p.recharge(), 0);
-        assert_eq!(p.consume_batch(1e12), PowerEvent::Ok);
+        assert!(p.consume_batch(1e12));
     }
 
     #[test]
     fn batched_draw_equals_split_draw_on_continuous_power() {
-        // The batching contract: on a continuous supply one batched
+        // On a continuous supply every batch is accepted, and one batched
         // draw and any per-instruction split of it are indistinguishable.
         let mut a = ContinuousPower;
         let mut b = ContinuousPower;
-        assert_eq!(a.consume_batch(30.0), PowerEvent::Ok);
+        assert!(a.consume_batch(30.0));
         for _ in 0..3 {
             assert_eq!(b.consume(10.0), PowerEvent::Ok);
         }
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "continuous supplies"))]
-    fn batched_draw_on_a_finite_supply_is_a_caller_bug() {
-        // The compiled backend gates batching on `is_continuous`; a
-        // caller that forgets the gate trips the debug assertion
-        // instead of silently moving the comparator trip point.
+    fn batched_draw_on_a_finite_supply_falls_back_before_the_trip() {
+        // A batch that would cross the trip point is refused and leaves
+        // the supply untouched, so the caller's per-step draws trip on
+        // the same instruction they would without batching.
         let mut p = ScriptedPower::new(vec![10.0], 5);
-        assert_eq!(p.consume_batch(11.0), PowerEvent::LowPower);
+        assert!(p.consume_batch(9.0));
+        assert!(!p.consume_batch(1.0), "ending exactly at 0 trips");
+        assert_eq!(p.current, 1.0, "a refused batch draws nothing");
+        assert_eq!(p.consume(1.0), PowerEvent::LowPower);
+        p.recharge();
+        // Script exhausted: an infinite budget accepts any batch.
+        assert!(p.consume_batch(1e15));
     }
 
+    /// Draws `draws` one by one from a copy of `s` and as one batch from
+    /// another: the batch must be accepted exactly when no single draw
+    /// tripped, and then leave the same level bits (`bits`); a refused
+    /// batch must leave the level as it was.
+    fn check_batch<S: PowerSupply + Clone>(
+        s: &S,
+        draws: &[u64],
+        bits: impl Fn(&S) -> u64,
+    ) -> Result<(), TestCaseError> {
+        let mut seq = s.clone();
+        let mut tripped = false;
+        for &d in draws {
+            tripped |= seq.consume(d as f64) == PowerEvent::LowPower;
+        }
+        let mut batch = s.clone();
+        let accepted = batch.consume_batch(draws.iter().sum::<u64>() as f64);
+        prop_assert_eq!(accepted, !tripped, "draws {:?}", draws);
+        let expected = if accepted { bits(&seq) } else { bits(s) };
+        prop_assert_eq!(bits(&batch), expected, "draws {:?}", draws);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn batched_draw_is_exact_or_refused_on_every_finite_supply(
+            whole in 0u64..46_000,
+            frac in 0u64..(1 << 40),
+            seed in any::<u64>(),
+            draws in vec(0u64..3_000, 1..40),
+        ) {
+            let spend = whole as f64 + frac as f64 / (1u64 << 40) as f64;
+            // Capacitor (through HarvestedPower): fractional level above
+            // the trigger, as after a jittered boot.
+            let mut cap = Capacitor::capybara();
+            cap.consume(spend);
+            let harvested = HarvestedPower::new(cap, Harvester::powercast_at_10in());
+            check_batch(&harvested, &draws, |p| p.capacitor.level_nj().to_bits())?;
+            // Scripted budget with a fractional part.
+            let scripted = ScriptedPower::new(vec![1.0 + spend], 5);
+            check_batch(&scripted, &draws, |p| p.current.to_bits())?;
+            // Random supply: a seeded exponential (fractional) budget.
+            let random = RandomPower::new(1.0 + whole as f64, 50, seed);
+            check_batch(&random, &draws, |p| p.current.to_bits())?;
+        }
+    }
     #[test]
     fn harvested_fails_and_recovers() {
         let mut p = HarvestedPower::capybara_powercast();

@@ -28,11 +28,14 @@
 //!   pathological injector targets this instruction;
 //! * **batches** — for every entry offset into a block, the maximal run
 //!   of pure-compute steps whose energy can be drawn in one
-//!   [`ocelot_hw::power::PowerSupply::consume_batch`] call on a
-//!   continuous supply. Since locals are slot-addressed, a run no
-//!   longer stops at the block edge: it follows unconditional jumps
-//!   into the batchable prefix of the target block (cycle-guarded), so
-//!   straight-line code split across blocks still charges once.
+//!   [`ocelot_hw::power::PowerSupply::consume_batch`] call. Since
+//!   locals are slot-addressed, a run no longer stops at the block
+//!   edge: it follows unconditional jumps into the batchable prefix of
+//!   the target block (cycle-guarded), so straight-line code split
+//!   across blocks still charges once;
+//! * **value-only expressions** — at `O2`, an expression whose
+//!   dependency set is provably empty or unobservable is flattened to
+//!   one postfix [`VOp`] sequence with its stack depth precomputed.
 //!
 //! The classification is exact for lowered programs: alpha-renaming
 //! guarantees locals never shadow globals and are bound before any
@@ -389,21 +392,111 @@ pub(crate) enum CExpr<'p> {
     /// `&x` in expression position (only valid in call args; evaluates
     /// to untainted 0, as in the interpreter).
     RefArg,
-    /// Evaluate the inner expression *by value only* and return it with
-    /// an empty dependency set. Emitted at `O2` where the optimizer
-    /// proved the dependency set is empty anyway (value purity) or can
-    /// never reach an observation (dependency liveness) or is dropped
-    /// by the consumer (branch conditions, store indices) — the
-    /// taint-free fast path.
-    PureOf(Box<CExpr<'p>>),
+    /// A whole subtree evaluated *by value only* and returned with an
+    /// empty dependency set, flattened to postfix [`VOp`]s. Emitted at
+    /// `O2` where the optimizer proved the dependency set is empty
+    /// anyway (value purity) or can never reach an observation
+    /// (dependency liveness) or is dropped by the consumer (branch
+    /// conditions, store indices) — the taint-free fast path.
+    Value {
+        /// The subtree in postfix order.
+        ops: Box<[VOp<'p>]>,
+        /// The most operands `ops` ever holds on the evaluation stack.
+        depth: u32,
+    },
 }
 
-/// Wraps an expression for taint-free evaluation (no-op for constants,
-/// which are already dependency-free).
-fn pure_of(e: CExpr<'_>) -> CExpr<'_> {
+/// One operation of a [`CExpr::Value`] expression. Each pops its
+/// operands off the evaluation stack and pushes its result, reading
+/// storage exactly like the [`CExpr`] node of the same name.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum VOp<'p> {
+    /// A literal (also `&x`, which evaluates to 0).
+    Const(i64),
+    /// A declared local or value parameter (unbound: the interpreter's
+    /// lookup by name).
+    Local {
+        /// Frame slot.
+        slot: u32,
+        /// Name, for the unbound fallback.
+        name: &'p str,
+    },
+    /// A by-reference parameter.
+    RefParam(&'p str),
+    /// A declared scalar global's slot.
+    Global(usize),
+    /// Unresolvable name: the interpreter's full lookup order.
+    DynVar(&'p str),
+    /// `*x`.
+    Deref(&'p str),
+    /// `a[i]`, popping `i`.
+    Index {
+        /// Array name (fallback path).
+        name: &'p str,
+        /// Pre-resolved array slot, if declared.
+        slot: Option<usize>,
+    },
+    /// Binary operation, popping both operands.
+    Binary(BinOp),
+    /// Unary operation, popping its operand.
+    Unary(UnOp),
+}
+
+/// A [`CExpr::Value`] under construction. Folds constant operations as
+/// they are appended: in postfix order a `Const` on top of the stack is
+/// a whole operand, so folding the topmost ones is exact.
+struct Flat<'p> {
+    ops: Vec<VOp<'p>>,
+    depth: u32,
+    max: u32,
+}
+
+impl<'p> Flat<'p> {
+    fn push(&mut self, op: VOp<'p>) {
+        self.ops.push(op);
+        self.depth += 1;
+        self.max = self.max.max(self.depth);
+    }
+
+    fn binary(&mut self, op: BinOp) {
+        self.depth -= 1;
+        if let [.., VOp::Const(a), VOp::Const(b)] = self.ops[..] {
+            self.ops.truncate(self.ops.len() - 2);
+            self.ops.push(VOp::Const(eval_binop(op, a, b)));
+        } else {
+            self.ops.push(VOp::Binary(op));
+        }
+    }
+
+    fn unary(&mut self, op: UnOp) {
+        if let Some(VOp::Const(a)) = self.ops.last_mut() {
+            *a = match op {
+                UnOp::Neg => a.wrapping_neg(),
+                UnOp::Not => (*a == 0) as i64,
+            };
+        } else {
+            self.ops.push(VOp::Unary(op));
+        }
+    }
+
+    fn finish(self) -> CExpr<'p> {
+        match self.ops[..] {
+            [VOp::Const(k)] => CExpr::Const(k),
+            _ => CExpr::Value {
+                ops: self.ops.into_boxed_slice(),
+                depth: self.max,
+            },
+        }
+    }
+}
+
+/// Number of nodes in `e`: the length of its postfix form before
+/// folding.
+fn expr_size(e: &Expr) -> usize {
     match e {
-        CExpr::Const(_) | CExpr::RefArg | CExpr::PureOf(_) => e,
-        e => CExpr::PureOf(Box::new(e)),
+        Expr::Int(_) | Expr::Bool(_) | Expr::Var(_) | Expr::Deref(_) | Expr::Ref(_) => 1,
+        Expr::Index(_, i) | Expr::Unary(_, i) => 1 + expr_size(i),
+        Expr::Binary(_, l, r) => 1 + expr_size(l) + expr_size(r),
     }
 }
 
@@ -533,15 +626,27 @@ impl<'p> Cx<'_, 'p> {
         &self.m.core.ssa.funcs[f.id.0 as usize]
     }
 
-    /// At `O2`, wraps `e` for taint-free evaluation when `justified`
-    /// holds (the two sound justifications are value purity and
-    /// dependency deadness; consumers that drop dependency sets pass
-    /// `|| true`).
-    fn wrap_o2(&self, e: CExpr<'p>, justified: impl FnOnce() -> bool) -> CExpr<'p> {
+    /// Compiles `e`, at `O2` into its taint-free [`CExpr::Value`] form
+    /// when `justified` holds (the two sound justifications are value
+    /// purity and dependency deadness; consumers that drop dependency
+    /// sets pass `|| true`).
+    fn operand(
+        &self,
+        f: &'p Function,
+        label: Label,
+        e: &'p Expr,
+        justified: impl FnOnce() -> bool,
+    ) -> CExpr<'p> {
         if self.m.opt == OptLevel::O2 && justified() {
-            pure_of(e)
+            let mut flat = Flat {
+                ops: Vec::with_capacity(expr_size(e)),
+                depth: 0,
+                max: 0,
+            };
+            self.flatten(f, label, e, &mut flat);
+            flat.finish()
         } else {
-            e
+            self.expr(f, label, e)
         }
     }
 
@@ -550,8 +655,8 @@ impl<'p> Cx<'_, 'p> {
     /// definition of an always-bound local shrinks to an untainted 0
     /// (the slot write still happens, keeping binding state and
     /// checkpoint word counts identical, but the unread value's
-    /// evaluation is gone); otherwise the source compiles normally and
-    /// is taint-free-wrapped when the value is pure or its dependency
+    /// evaluation is gone); otherwise the source compiles to its
+    /// taint-free value form when the value is pure or its dependency
     /// set provably unobservable. Always-boundedness matters for the
     /// shrink: a dead store to a *possibly-unbound* local would reach
     /// the non-volatile fallback, which a later run could read.
@@ -563,8 +668,7 @@ impl<'p> Cx<'_, 'p> {
         {
             return CExpr::Const(0);
         }
-        let c = self.expr(f, label, src);
-        self.wrap_o2(c, || {
+        self.operand(f, label, src, || {
             self.m.core.flow.expr_is_pure(f, src)
                 || (f.declares(var) && self.m.core.flow.var_deps_dead(f.id, var))
         })
@@ -610,20 +714,17 @@ impl<'p> Cx<'_, 'p> {
             .map(|(a, bind)| match (a, bind) {
                 (Arg::Value(e), ParamBind::Value(slot)) => ArgBind::Value {
                     slot: *slot,
-                    src: {
-                        let c = self.expr(f, label, e);
-                        // The argument's taint only matters through the
-                        // callee parameter it binds; dead there, the
-                        // walk is unobservable.
-                        self.wrap_o2(c, || {
-                            self.m.core.flow.expr_is_pure(f, e)
-                                || self
-                                    .m
-                                    .core
-                                    .flow
-                                    .var_deps_dead(callee, callee_layout.name(*slot))
-                        })
-                    },
+                    // The argument's taint only matters through the
+                    // callee parameter it binds; dead there, the walk is
+                    // unobservable.
+                    src: self.operand(f, label, e, || {
+                        self.m.core.flow.expr_is_pure(f, e)
+                            || self
+                                .m
+                                .core
+                                .flow
+                                .var_deps_dead(callee, callee_layout.name(*slot))
+                    }),
                 },
                 (Arg::Ref(x), ParamBind::Ref(name)) => ArgBind::Ref {
                     param: Arc::clone(name),
@@ -704,47 +805,38 @@ impl<'p> Cx<'_, 'p> {
                             },
                         )
                     }
-                    Place::Var(x) if f.declares(x) => {
-                        let src_c = self.expr(f, label, src);
-                        (
+                    Place::Var(x) if f.declares(x) => (
+                        Cost::Dynamic,
+                        Cat::Compute,
+                        Action::AssignDyn {
+                            place,
+                            // The store may reach the NV fallback (a
+                            // later run could read the cell), so only
+                            // exact purity justifies the fast path.
+                            src: self.operand(f, label, src, || flow.expr_is_pure(f, src)),
+                        },
+                    ),
+                    Place::Var(x) if !f.declares(x) => match self.m.dev.nv.scalar_slot(x) {
+                        Some(slot) => (
+                            self.fixed(c.nv_write),
+                            Cat::Compute,
+                            Action::AssignGlobal {
+                                slot,
+                                src: self.operand(f, label, src, || {
+                                    flow.expr_is_pure(f, src) || flow.global_deps_dead(x)
+                                }),
+                            },
+                        ),
+                        // Undeclared destination: keep the interpreter's
+                        // dynamic cost and store path.
+                        None => (
                             Cost::Dynamic,
                             Cat::Compute,
                             Action::AssignDyn {
                                 place,
-                                // The store may reach the NV fallback (a
-                                // later run could read the cell), so only
-                                // exact purity justifies the fast path.
-                                src: self.wrap_o2(src_c, || flow.expr_is_pure(f, src)),
+                                src: self.operand(f, label, src, || flow.expr_is_pure(f, src)),
                             },
-                        )
-                    }
-                    Place::Var(x) if !f.declares(x) => match self.m.dev.nv.scalar_slot(x) {
-                        Some(slot) => {
-                            let src_c = self.expr(f, label, src);
-                            (
-                                self.fixed(c.nv_write),
-                                Cat::Compute,
-                                Action::AssignGlobal {
-                                    slot,
-                                    src: self.wrap_o2(src_c, || {
-                                        flow.expr_is_pure(f, src) || flow.global_deps_dead(x)
-                                    }),
-                                },
-                            )
-                        }
-                        // Undeclared destination: keep the interpreter's
-                        // dynamic cost and store path.
-                        None => {
-                            let src_c = self.expr(f, label, src);
-                            (
-                                Cost::Dynamic,
-                                Cat::Compute,
-                                Action::AssignDyn {
-                                    place,
-                                    src: self.wrap_o2(src_c, || flow.expr_is_pure(f, src)),
-                                },
-                            )
-                        }
+                        ),
                     },
                     // A by-ref parameter reassignment is invalid in
                     // validated programs; run it dynamically.
@@ -756,37 +848,30 @@ impl<'p> Cx<'_, 'p> {
                             src: self.expr(f, label, src),
                         },
                     ),
-                    Place::Index(a, i) => {
-                        let src_c = self.expr(f, label, src);
-                        let idx_c = self.expr(f, label, i);
-                        (
-                            self.fixed(c.nv_write),
-                            Cat::Compute,
-                            Action::AssignIndex {
-                                name: a,
-                                slot: self.m.dev.nv.array_slot(a),
-                                // A store drops its index's dependency
-                                // set (only the value is consumed).
-                                idx: self.wrap_o2(idx_c, || true),
-                                src: self.wrap_o2(src_c, || {
-                                    flow.expr_is_pure(f, src) || flow.global_deps_dead(a)
-                                }),
-                            },
-                        )
-                    }
-                    Place::Deref(x) => {
-                        let src_c = self.expr(f, label, src);
-                        (
-                            Cost::Dynamic,
-                            Cat::Compute,
-                            Action::AssignDeref {
-                                var: x,
-                                src: self.wrap_o2(src_c, || {
-                                    flow.expr_is_pure(f, src) || flow.refout_deps_dead(f.id, x)
-                                }),
-                            },
-                        )
-                    }
+                    Place::Index(a, i) => (
+                        self.fixed(c.nv_write),
+                        Cat::Compute,
+                        Action::AssignIndex {
+                            name: a,
+                            slot: self.m.dev.nv.array_slot(a),
+                            // A store drops its index's dependency set
+                            // (only the value is consumed).
+                            idx: self.operand(f, label, i, || true),
+                            src: self.operand(f, label, src, || {
+                                flow.expr_is_pure(f, src) || flow.global_deps_dead(a)
+                            }),
+                        },
+                    ),
+                    Place::Deref(x) => (
+                        Cost::Dynamic,
+                        Cat::Compute,
+                        Action::AssignDeref {
+                            var: x,
+                            src: self.operand(f, label, src, || {
+                                flow.expr_is_pure(f, src) || flow.refout_deps_dead(f.id, x)
+                            }),
+                        },
+                    ),
                 }
             }
             Op::Input { var, sensor } => {
@@ -827,10 +912,7 @@ impl<'p> Cx<'_, 'p> {
                     // justifies skipping the taint walk.
                     args: args
                         .iter()
-                        .map(|e| {
-                            let c = self.expr(f, label, e);
-                            self.wrap_o2(c, || self.m.core.flow.expr_is_pure(f, e))
-                        })
+                        .map(|e| self.operand(f, label, e, || self.m.core.flow.expr_is_pure(f, e)))
                         .collect(),
                 },
             ),
@@ -860,22 +942,21 @@ impl<'p> Cx<'_, 'p> {
                 then_bb,
                 else_bb,
             } => {
-                let c = self.expr(f, label, cond);
+                // Both backends branch on the value alone; the
+                // condition's dependency set is never observed.
+                let c = self.operand(f, label, cond, || true);
                 if let (true, CExpr::Const(k)) = (self.m.opt != OptLevel::O0, &c) {
                     Action::Jump(if *k != 0 { *then_bb } else { *else_bb })
                 } else {
                     Action::Branch {
-                        // Both backends branch on the value alone; the
-                        // condition's dependency set is never observed.
-                        cond: self.wrap_o2(c, || true),
+                        cond: c,
                         then_bb: *then_bb,
                         else_bb: *else_bb,
                     }
                 }
             }
             Terminator::Ret(e) => Action::Ret(e.as_ref().map(|e| {
-                let c = self.expr(f, label, e);
-                self.wrap_o2(c, || {
+                self.operand(f, label, e, || {
                     self.m.core.flow.expr_is_pure(f, e) || self.m.core.flow.ret_deps_dead(f.id)
                 })
             })),
@@ -887,28 +968,14 @@ impl<'p> Cx<'_, 'p> {
         match e {
             Expr::Int(n) => CExpr::Const(*n),
             Expr::Bool(b) => CExpr::Const(*b as i64),
-            Expr::Var(x) => {
-                // SSA constant propagation: a use reached only by one
-                // constant-valued def (whose taint is provably pure)
-                // reads the literal directly.
-                if self.m.opt != OptLevel::O0 {
-                    if let Some(k) = self.facts(f).const_uses.get(&(label, x.clone())) {
-                        return CExpr::Const(*k);
-                    }
-                }
-                if f.is_by_ref_param(x) {
-                    CExpr::RefParam(x)
-                } else if f.declares(x) {
-                    match self.m.core.layouts.slot(f.id, x) {
-                        Some(slot) => CExpr::Local { slot, name: x },
-                        None => CExpr::DynVar(x),
-                    }
-                } else if let Some(slot) = self.m.dev.nv.scalar_slot(x) {
-                    CExpr::Global(slot)
-                } else {
-                    CExpr::DynVar(x)
-                }
-            }
+            Expr::Var(x) => match self.var(f, label, x) {
+                VOp::Const(k) => CExpr::Const(k),
+                VOp::Local { slot, name } => CExpr::Local { slot, name },
+                VOp::RefParam(x) => CExpr::RefParam(x),
+                VOp::Global(slot) => CExpr::Global(slot),
+                VOp::DynVar(x) => CExpr::DynVar(x),
+                op => unreachable!("a variable read classified as {op:?}"),
+            },
             Expr::Deref(x) => CExpr::Deref(x),
             Expr::Ref(_) => CExpr::RefArg,
             Expr::Index(a, i) => CExpr::Index {
@@ -934,6 +1001,57 @@ impl<'p> Cx<'_, 'p> {
                     });
                 }
                 CExpr::Unary(*op, Box::new(xc))
+            }
+        }
+    }
+
+    /// Classifies a variable read (shared by both expression forms).
+    fn var(&self, f: &'p Function, label: Label, x: &'p String) -> VOp<'p> {
+        // SSA constant propagation: a use reached only by one
+        // constant-valued def (whose taint is provably pure) reads the
+        // literal directly.
+        if self.m.opt != OptLevel::O0 {
+            if let Some(k) = self.facts(f).const_uses.get(&(label, x.clone())) {
+                return VOp::Const(*k);
+            }
+        }
+        if f.is_by_ref_param(x) {
+            VOp::RefParam(x)
+        } else if f.declares(x) {
+            match self.m.core.layouts.slot(f.id, x) {
+                Some(slot) => VOp::Local { slot, name: x },
+                None => VOp::DynVar(x),
+            }
+        } else if let Some(slot) = self.m.dev.nv.scalar_slot(x) {
+            VOp::Global(slot)
+        } else {
+            VOp::DynVar(x)
+        }
+    }
+
+    /// Appends `e`'s postfix form to `flat`.
+    fn flatten(&self, f: &'p Function, label: Label, e: &'p Expr, flat: &mut Flat<'p>) {
+        match e {
+            Expr::Int(n) => flat.push(VOp::Const(*n)),
+            Expr::Bool(b) => flat.push(VOp::Const(*b as i64)),
+            Expr::Ref(_) => flat.push(VOp::Const(0)),
+            Expr::Var(x) => flat.push(self.var(f, label, x)),
+            Expr::Deref(x) => flat.push(VOp::Deref(x)),
+            Expr::Index(a, i) => {
+                self.flatten(f, label, i, flat);
+                flat.ops.push(VOp::Index {
+                    name: a,
+                    slot: self.m.dev.nv.array_slot(a),
+                });
+            }
+            Expr::Binary(op, l, r) => {
+                self.flatten(f, label, l, flat);
+                self.flatten(f, label, r, flat);
+                flat.binary(*op);
+            }
+            Expr::Unary(op, x) => {
+                self.flatten(f, label, x, flat);
+                flat.unary(*op);
             }
         }
     }
@@ -1338,11 +1456,12 @@ mod tests {
             .collect()
     }
 
-    fn contains_pure_of(e: &CExpr<'_>) -> bool {
+    /// True when `e` is (or contains) a taint-free value form.
+    fn contains_value(e: &CExpr<'_>) -> bool {
         match e {
-            CExpr::PureOf(_) => true,
-            CExpr::Binary(_, l, r) => contains_pure_of(l) || contains_pure_of(r),
-            CExpr::Unary(_, x) | CExpr::Index { idx: x, .. } => contains_pure_of(x),
+            CExpr::Value { .. } => true,
+            CExpr::Binary(_, l, r) => contains_value(l) || contains_value(r),
+            CExpr::Unary(_, x) | CExpr::Index { idx: x, .. } => contains_value(x),
             _ => false,
         }
     }
@@ -1477,7 +1596,7 @@ mod tests {
     }
 
     #[test]
-    fn pure_of_wraps_only_at_o2_and_never_observed_deps() {
+    fn value_forms_only_at_o2_and_never_observed_deps() {
         // g's dependency set is never observed (no output or fresh use
         // reads it), so stores to it may skip the taint walk at O2.
         let p = irc("sensor s; nv g = 0; fn main() { let v = in(s); g = g + v; }").unwrap();
@@ -1487,18 +1606,31 @@ mod tests {
             main_actions(&cp0, &p)
                 .iter()
                 .flat_map(|a| action_exprs(a))
-                .all(|e| !contains_pure_of(e)),
-            "PureOf is an O2-only rewrite"
+                .all(|e| !contains_value(e)),
+            "the value form is an O2-only rewrite"
         );
         let m2 = machine_for(&p).with_opt(OptLevel::O2);
         let cp2 = compile(&m2);
+        let store = main_actions(&cp2, &p)
+            .into_iter()
+            .find_map(|a| match a {
+                Action::AssignGlobal { src, .. } => Some(src),
+                _ => None,
+            })
+            .expect("the store to g");
+        // The whole subtree is one flat postfix sequence: no tree node
+        // (and so no recursive evaluation) survives at the site.
+        let CExpr::Value { ops, depth } = store else {
+            panic!("the dep-dead global store is evaluated taint-free at O2")
+        };
         assert!(
-            main_actions(&cp2, &p)
-                .iter()
-                .flat_map(|a| action_exprs(a))
-                .any(contains_pure_of),
-            "the dep-dead global store is evaluated taint-free at O2"
+            matches!(
+                ops[..],
+                [VOp::Global(_), VOp::Local { .. }, VOp::Binary(BinOp::Add)]
+            ),
+            "{ops:?}"
         );
+        assert_eq!(*depth, 2);
         // An output argument's deps ARE observed: its expression must
         // keep the taint walk unless provably pure.
         let p2 = irc("sensor s; fn main() { let v = in(s); out(log, v); }").unwrap();
@@ -1507,11 +1639,89 @@ mod tests {
         for a in main_actions(&cp, &p2) {
             if let Action::Output { args, .. } = a {
                 assert!(
-                    args.iter().all(|e| !contains_pure_of(e)),
+                    args.iter().all(|e| !contains_value(e)),
                     "input-derived output args keep their taint"
                 );
             }
         }
+    }
+
+    #[test]
+    fn value_forms_fold_constants_and_size_their_stack() {
+        // `(1 + 2) * g` folds its constant operand while flattening;
+        // `!(3 - 3)` folds whole, to a plain literal.
+        let p = irc("nv g = 1; nv h = 0; fn main() { h = (1 + 2) * g; h = !(3 - 3); }").unwrap();
+        let m = machine_for(&p).with_opt(OptLevel::O2);
+        let cp = compile(&m);
+        let srcs: Vec<&CExpr<'_>> = main_actions(&cp, &p)
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::AssignGlobal { src, .. } => Some(src),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            matches!(srcs[0], CExpr::Value { ops, depth: 2 }
+                if matches!(ops[..], [VOp::Const(3), VOp::Global(_), VOp::Binary(BinOp::Mul)])),
+            "(1 + 2) * g flattens to [3, g, *]"
+        );
+        assert!(matches!(srcs[1], CExpr::Const(1)));
+    }
+
+    #[test]
+    fn deeper_than_the_fixed_stack_evaluates_like_the_interpreter() {
+        // A right-nested expression needs one stack slot per level, past
+        // the fixed evaluation stack: the branch condition (always taint
+        // free at O2) and the dep-dead store exercise every operation
+        // kind, and both backends must agree on the outcome.
+        let levels = super::super::run::VALUE_STACK + 4;
+        let mut e = String::from("v");
+        for i in 0..levels {
+            e = match i % 4 {
+                0 => format!("(v - {e})"),
+                1 => format!("(g + -{e})"),
+                2 => format!("(arr[v] * {e})"),
+                _ => format!("(v + !{e})"),
+            };
+        }
+        let src = format!(
+            "sensor s; nv g = 3; nv arr[4]; nv h = 0; \
+             fn main() {{ let v = in(s); arr[1] = 2; h = {e}; \
+             if {e} > 0 {{ out(log, 1); }} else {{ out(log, 2); }} }}"
+        );
+        let p = irc(&src).unwrap();
+        let m = machine_for(&p).with_opt(OptLevel::O2);
+        let cp = compile(&m);
+        let deep = main_actions(&cp, &p)
+            .iter()
+            .flat_map(|a| action_exprs(a))
+            .filter(|e| {
+                matches!(e, CExpr::Value { depth, .. }
+                    if *depth as usize > super::super::run::VALUE_STACK)
+            })
+            .count();
+        assert_eq!(deep, 2, "the store and the branch both take the value form");
+        let run = |backend| {
+            let taint = ocelot_analysis::taint::TaintAnalysis::run(&p);
+            let mut m = Machine::new(
+                &p,
+                &[],
+                ocelot_core::build_policies(&p, &taint),
+                Environment::new().with("s", ocelot_hw::sensors::Signal::Constant(1)),
+                CostModel::default(),
+                Box::new(ContinuousPower),
+            )
+            .with_backend(backend)
+            .with_opt(OptLevel::O2);
+            m.run_once(10_000);
+            (m.stats().clone(), m.take_trace(), m.dev.nv.read("h").value)
+        };
+        let (interp, compiled) = (
+            run(crate::ExecBackend::Interp),
+            run(crate::ExecBackend::Compiled),
+        );
+        assert_eq!(interp, compiled);
+        assert_ne!(interp.2, 0, "the deep store ran");
     }
 
     #[test]

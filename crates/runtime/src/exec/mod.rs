@@ -20,9 +20,10 @@
 //!   per-step booleans, so unchecked steps skip the lookups entirely;
 //! * maximal runs of "pure compute" steps are pre-grouped into
 //!   *batches* whose energy is drawn in one
-//!   [`ocelot_hw::power::PowerSupply::consume_batch`] call — taken only
-//!   on continuous supplies, where the comparator cannot trip mid-run,
-//!   so per-instruction failure semantics are preserved exactly.
+//!   [`ocelot_hw::power::PowerSupply::consume_batch`] call — which a
+//!   supply accepts only when no per-instruction draw of the batch
+//!   could trip its comparator, and otherwise the batch runs step by
+//!   step, so per-instruction failure semantics are preserved exactly.
 //!
 //! The seam between the backends is semantic, not structural: anything
 //! *checked or observable* — inputs, outputs, detector checks, region

@@ -3,13 +3,14 @@
 //! Mirrors `Machine::step` attempt-for-attempt — injector check, cost
 //! charge, detector checks, execute — but over pre-resolved
 //! [`Step`]s, and lifts maximal pure-compute runs into single batched
-//! charges when the supply is continuous (see [`super::compile`] for
-//! what makes a step batchable). Everything checked or observable
-//! delegates to the shared `Machine` helpers, so both backends execute
-//! the paper's semantics through one implementation.
+//! charges whenever the supply accepts the batch's draw (see
+//! [`super::compile`] for what makes a step batchable). Everything
+//! checked or observable delegates to the shared `Machine` helpers, so
+//! both backends execute the paper's semantics through one
+//! implementation.
 
 use super::compile::{
-    self, Action, ArgBind, Batch, CExpr, CompiledBlock, Cost, LocalDst, RefArgPlan, Step,
+    self, Action, ArgBind, Batch, CExpr, CompiledBlock, Cost, LocalDst, RefArgPlan, Step, VOp,
 };
 use super::CompiledProgram;
 use crate::machine::{eval_binop, Machine, RunOutcome};
@@ -20,8 +21,10 @@ use ocelot_ir::ast::UnOp;
 use ocelot_ir::FuncId;
 use std::sync::Arc;
 
-/// Breakdown/charge bookkeeping for one whole batch: the same totals
-/// the interpreter accumulates per instruction, applied in one shot.
+/// Stack slots a [`CExpr::Value`] evaluates in without allocating;
+/// deeper expressions evaluate in a heap buffer through the same loop.
+pub(crate) const VALUE_STACK: usize = 16;
+
 impl<'p> Machine<'p> {
     /// Runs `main` once on the compiled engine. Counts *attempts*
     /// exactly like the interpreter's `run_once`, so `StepLimit`
@@ -45,32 +48,36 @@ impl<'p> Machine<'p> {
         }
         let cp = Arc::clone(self.compiled.as_ref().expect("just compiled"));
         let violations_before = self.dev.stats.violations;
-        // Batched draws are exact only when the comparator cannot trip
-        // mid-run (see `PowerSupply::consume_batch`).
-        let batching = self.supply.is_continuous();
         // Check elision leans on bit monotonicity: bits are only cleared
         // by power failure, so a supply that can fail mid-run (or an
         // injector that forces failures, or a TICS window whose expiry
         // probe elision would also skip) keeps every probe dynamic.
-        self.elide_checks =
-            batching && self.injector_targets.is_empty() && self.expiry_window.is_none();
+        self.elide_checks = self.supply.is_continuous()
+            && self.injector_targets.is_empty()
+            && self.expiry_window.is_none();
         let mut steps = 0u64;
         loop {
-            if batching {
-                if let Some(top) = self.dev.vol.top() {
-                    let (func, block, index) = (top.func, top.block, top.index);
-                    let cb = &cp.funcs[func.0 as usize].blocks[block.0 as usize];
-                    let batch = &cb.batches[index];
-                    // Take the fast path only when every attempt in the
-                    // run fits under the step budget, so the limit lands
-                    // on the same instruction as the per-step loop.
-                    if batch.totals.len > 0 && steps + u64::from(batch.totals.len) <= max_steps {
-                        steps += u64::from(batch.totals.len);
-                        if self.exec_batch(&cp, func, cb, index, batch) {
-                            return self.complete_run(violations_before);
-                        }
-                        continue;
+            if let Some(top) = self.dev.vol.top() {
+                let (func, block, index) = (top.func, top.block, top.index);
+                let cb = &cp.funcs[func.0 as usize].blocks[block.0 as usize];
+                let batch = &cb.batches[index];
+                // Take the fast path only when every attempt in the run
+                // fits under the step budget, so the limit lands on the
+                // same instruction as the per-step loop, and when the
+                // supply draws the whole batch at once — it refuses
+                // whenever a per-step draw could trip the comparator,
+                // and the per-step path then finds the failing step.
+                if batch.totals.len > 0
+                    && steps + u64::from(batch.totals.len) <= max_steps
+                    && self
+                        .supply
+                        .consume_batch(self.core.costs.cycles_to_nj(batch.totals.cycles))
+                {
+                    steps += u64::from(batch.totals.len);
+                    if self.exec_batch(&cp, func, cb, index, batch) {
+                        return self.complete_run(violations_before);
                     }
+                    continue;
                 }
             }
             steps += 1;
@@ -86,9 +93,10 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Charges a whole batch (possibly spanning unconditional jumps) in
-    /// one draw, then runs its steps flat-out. Returns true when `main`
-    /// returned.
+    /// Books a whole batch (possibly spanning unconditional jumps) whose
+    /// energy the caller already drew: the same totals the interpreter
+    /// accumulates per instruction, applied in one shot. Then runs its
+    /// steps flat-out. Returns true when `main` returned.
     fn exec_batch(
         &mut self,
         cp: &CompiledProgram<'p>,
@@ -102,12 +110,6 @@ impl<'p> Machine<'p> {
         self.dev.stats.on_cycles += batch.totals.cycles;
         self.dev.now_us += batch.totals.us;
         self.dev.stats.on_time_us += batch.totals.us;
-        // On a continuous supply this cannot report LowPower; the value
-        // is ignored for the same reason the interpreter ignores
-        // `consume` results after completion.
-        let _ = self
-            .supply
-            .consume_batch(self.core.costs.cycles_to_nj(batch.totals.cycles));
         for step in &cb.steps[start..start + batch.head as usize] {
             self.dev.tau += 1;
             self.dev.stats.instructions += 1;
@@ -362,10 +364,9 @@ impl<'p> Machine<'p> {
             }
             Action::Output { channel, args } => {
                 let vals: Vec<Tainted> = args.iter().map(|e| self.ceval(e)).collect();
-                let mut deps = crate::memory::Deps::new();
-                for v in &vals {
-                    deps.extend(v.deps.iter().copied());
-                }
+                let deps = vals
+                    .iter()
+                    .fold(crate::memory::Deps::new(), |d, v| d.union(&v.deps));
                 self.dev.obs.push(Obs::Output {
                     at: here,
                     tau: self.dev.tau,
@@ -493,7 +494,7 @@ impl<'p> Machine<'p> {
                     Some(s) => self.dev.nv.read_idx_slot(*s, i.value),
                     None => self.dev.nv.read_idx(name, i.value),
                 };
-                v.deps.extend(i.deps);
+                v.deps = v.deps.union(&i.deps);
                 v
             }
             CExpr::Binary(op, l, r) => {
@@ -513,53 +514,66 @@ impl<'p> Machine<'p> {
                 }
             }
             CExpr::RefArg => Tainted::pure(0),
-            // The optimizer proved this subtree's dependency set empty
-            // or unobservable at this consumption site: evaluate by
-            // value only, skipping every taint-set clone and merge.
-            CExpr::PureOf(e) => Tainted::pure(self.ceval_value(e)),
+            CExpr::Value { ops, depth } => Tainted::pure(self.eval_value(ops, *depth as usize)),
         }
     }
 
-    /// Value-only twin of [`Runner::ceval`]: computes the same `i64`
-    /// without touching dependency sets. Only reachable under
-    /// [`CExpr::PureOf`], i.e. when the O2 flow analysis justified
-    /// dropping the taint.
-    fn ceval_value(&self, e: &CExpr<'p>) -> i64 {
-        match e {
-            CExpr::Const(n) => *n,
-            CExpr::Local { slot, name } => {
-                match self.dev.vol.top().and_then(|t| t.get_slot(*slot)) {
-                    Some(v) => v.value,
-                    None => self.read_var(name).value,
+    /// Evaluates a [`CExpr::Value`]'s postfix operations by value only,
+    /// computing the same `i64` as [`Machine::ceval`] on the subtree
+    /// without touching dependency sets (the O2 flow analysis justified
+    /// dropping them).
+    fn eval_value(&self, ops: &[VOp<'p>], depth: usize) -> i64 {
+        let mut fixed = [0i64; VALUE_STACK];
+        let mut spilled = Vec::new();
+        let stack: &mut [i64] = if depth <= VALUE_STACK {
+            &mut fixed
+        } else {
+            spilled.resize(depth, 0);
+            &mut spilled
+        };
+        let mut sp = 0;
+        for op in ops {
+            // Each operation pops its operands, then pushes its result.
+            let v = match *op {
+                VOp::Const(n) => n,
+                VOp::Local { slot, name } => {
+                    match self.dev.vol.top().and_then(|t| t.get_slot(slot)) {
+                        Some(v) => v.value,
+                        None => self.read_var(name).value,
+                    }
                 }
-            }
-            CExpr::RefParam(x) => match self.ref_target(x) {
-                Some(t) => self.read_target(&t).value,
-                None => self.read_var(x).value,
-            },
-            CExpr::Global(slot) => self.dev.nv.read_slot_value(*slot),
-            CExpr::DynVar(x) => self.read_var(x).value,
-            CExpr::Deref(x) => match self.ref_target(x) {
-                Some(t) => self.read_target(&t).value,
-                None => self.dev.nv.read(x).value,
-            },
-            CExpr::Index { name, slot, idx } => {
-                let i = self.ceval_value(idx);
-                match slot {
-                    Some(s) => self.dev.nv.read_idx_slot_value(*s, i),
-                    None => self.dev.nv.read_idx_value(name, i),
+                VOp::RefParam(x) => match self.ref_target(x) {
+                    Some(t) => self.read_target(&t).value,
+                    None => self.read_var(x).value,
+                },
+                VOp::Global(slot) => self.dev.nv.read_slot_value(slot),
+                VOp::DynVar(x) => self.read_var(x).value,
+                VOp::Deref(x) => match self.ref_target(x) {
+                    Some(t) => self.read_target(&t).value,
+                    None => self.dev.nv.read(x).value,
+                },
+                VOp::Index { name, slot } => {
+                    sp -= 1;
+                    match slot {
+                        Some(s) => self.dev.nv.read_idx_slot_value(s, stack[sp]),
+                        None => self.dev.nv.read_idx_value(name, stack[sp]),
+                    }
                 }
-            }
-            CExpr::Binary(op, l, r) => eval_binop(*op, self.ceval_value(l), self.ceval_value(r)),
-            CExpr::Unary(op, x) => {
-                let a = self.ceval_value(x);
-                match op {
-                    UnOp::Neg => a.wrapping_neg(),
-                    UnOp::Not => (a == 0) as i64,
+                VOp::Binary(op) => {
+                    sp -= 2;
+                    eval_binop(op, stack[sp], stack[sp + 1])
                 }
-            }
-            CExpr::RefArg => 0,
-            CExpr::PureOf(e) => self.ceval_value(e),
+                VOp::Unary(op) => {
+                    sp -= 1;
+                    match op {
+                        UnOp::Neg => stack[sp].wrapping_neg(),
+                        UnOp::Not => (stack[sp] == 0) as i64,
+                    }
+                }
+            };
+            stack[sp] = v;
+            sp += 1;
         }
+        stack[0]
     }
 }

@@ -248,7 +248,7 @@ pub struct MachineCore<'p> {
     pub(crate) reclass: Vec<BTreeSet<String>>,
     /// Check sites whose every required chain is provably collected on
     /// all paths before the use (the §7.3 bit is already set), making
-    /// the dynamic probe redundant under batching-compatible runs.
+    /// the dynamic probe redundant under continuous-supply runs.
     pub(crate) elidable_sites: BTreeSet<InstrRef>,
     /// The compiled programs shared by every injector-free device on
     /// this core, one per [`OptLevel`], each built once on the first
@@ -405,11 +405,21 @@ pub struct Machine<'p> {
 const EXPIRY_RESTART_CAP: u32 = 25;
 
 impl<'p> MachineCore<'p> {
+    /// True when `env` has exactly the channel layout this core was
+    /// built against — the only part of the environment a core records
+    /// — so devices sampling `env` may run on it.
+    pub fn accepts(&self, env: &Environment) -> bool {
+        env.channels().len() == self.channels.len()
+            && self
+                .channels
+                .iter()
+                .all(|(name, idx)| env.channel_index(name) == Some(*idx))
+    }
+
     /// The check sites whose dynamic probe this core elides under
-    /// batching-compatible runs (continuous supply, no injector, no
-    /// TICS window) — the set `--opt 2` removes. Exposed so the linter's
-    /// OC004 report can be cross-validated against the machine's own
-    /// elision decisions.
+    /// continuous-supply runs (no injector, no TICS window) — the set
+    /// `--opt 2` removes. Exposed so the linter's OC004 report can be
+    /// cross-validated against the machine's own elision decisions.
     pub fn elidable_sites(&self) -> &BTreeSet<InstrRef> {
         &self.elidable_sites
     }
@@ -801,19 +811,10 @@ impl<'p> Machine<'p> {
         env: Environment,
         supply: Box<dyn PowerSupply>,
     ) -> Self {
-        let dev_channels = env.channels();
-        assert_eq!(
-            dev_channels.len(),
-            core.channels.len(),
-            "device environment and core disagree on channel count"
+        assert!(
+            core.accepts(&env),
+            "device environment disagrees with the core's channel layout"
         );
-        for (name, idx) in &core.channels {
-            assert_eq!(
-                env.channel_index(name),
-                Some(*idx),
-                "device environment disagrees with the core's channel layout for {name:?}"
-            );
-        }
         dev.reset_for(&core);
         Machine {
             core,
@@ -1384,10 +1385,9 @@ impl<'p> Machine<'p> {
             }
             Op::Output { channel, args } => {
                 let vals: Vec<Tainted> = args.iter().map(|e| self.eval(e)).collect();
-                let mut deps = crate::memory::Deps::new();
-                for v in &vals {
-                    deps.extend(v.deps.iter().copied());
-                }
+                let deps = vals
+                    .iter()
+                    .fold(crate::memory::Deps::new(), |d, v| d.union(&v.deps));
                 let channel = match self.core.channel_names.get(channel.as_str()) {
                     Some(a) => Arc::clone(a),
                     None => Arc::from(channel.as_str()),
@@ -1939,7 +1939,7 @@ impl<'p> Machine<'p> {
             Expr::Index(a, i) => {
                 let idx = self.eval(i);
                 let mut v = self.dev.nv.read_idx(a, idx.value);
-                v.deps.extend(idx.deps);
+                v.deps = v.deps.union(&idx.deps);
                 v
             }
             Expr::Binary(op, l, r) => {
@@ -2060,6 +2060,42 @@ mod tests {
         assert_send::<Machine<'static>>();
         assert_send::<RunOutcome>();
         assert_send::<Stats>();
+    }
+
+    #[test]
+    fn a_core_accepts_exactly_its_channel_layout() {
+        let p = compile("sensor a; sensor b; fn main() { let v = in(a); out(log, v); }").unwrap();
+        let env = |names: &[&str]| {
+            names.iter().fold(Environment::new(), |e, n| {
+                e.with(n, Signal::Constant(n.len() as i64))
+            })
+        };
+        let m = machine_for(&p, env(&["a", "b"]), Box::new(ContinuousPower));
+        let core = m.core();
+        // Signal values are not part of the layout.
+        assert!(core.accepts(&env(&["a", "b"]).with("a", Signal::Constant(9))));
+        assert!(
+            !core.accepts(&env(&["b", "a"])),
+            "indices follow insertion order"
+        );
+        assert!(!core.accepts(&env(&["a"])), "a missing channel");
+        assert!(!core.accepts(&env(&["a", "b", "c"])), "an extra channel");
+        assert!(!core.accepts(&env(&["a", "c"])), "a renamed channel");
+    }
+
+    #[test]
+    #[should_panic(expected = "channel layout")]
+    fn from_core_rejects_a_foreign_layout() {
+        let p = compile("sensor a; fn main() { let v = in(a); out(log, v); }").unwrap();
+        let env = Environment::new().with("a", Signal::Constant(1));
+        let m = machine_for(&p, env, Box::new(ContinuousPower));
+        let foreign = Environment::new().with("z", Signal::Constant(1));
+        let _ = Machine::from_core(
+            Arc::clone(m.core()),
+            DeviceState::default(),
+            foreign,
+            Box::new(ContinuousPower),
+        );
     }
 
     #[test]

@@ -17,127 +17,125 @@
 //! *bound* locals plus the fixed register-file share.
 
 use ocelot_ir::{BlockId, FuncId, Program};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Inline capacity of a [`Deps`] set: dependency sets are almost always
-/// tiny (one sample, or a handful combined into an average), so they
-/// live in the value itself and cost no allocation until they outgrow
-/// this.
-const DEPS_INLINE: usize = 8;
-
-#[derive(Debug, Clone)]
-enum DepsRepr {
-    /// Sorted, deduplicated prefix of `buf`.
-    Inline { len: u8, buf: [u64; DEPS_INLINE] },
-    /// Spill representation for large sets (keeps ordered-set
-    /// semantics). A set spills only by growing past the inline
-    /// capacity, so representations stay canonical: ≤ 8 elements is
-    /// always `Inline`.
-    Heap(BTreeSet<u64>),
-}
 
 /// Logical timestamps of input operations a value depends on — the
 /// paper's `I`.
 ///
-/// Semantically an ordered `u64` set (what [`BTreeSet`] provided); the
-/// representation keeps up to eight timestamps inline because the
-/// hot path creates, clones, and unions one of these for every tainted
-/// value the machine touches.
-#[derive(Debug, Clone)]
-pub struct Deps(DepsRepr);
-
-impl Default for Deps {
-    fn default() -> Self {
-        Deps::new()
-    }
-}
+/// Semantically an ordered `u64` set. `None` is the empty set; a
+/// non-empty set is an immutable, sorted, deduplicated slice shared by
+/// every value that carries it, so cloning a set (which the hot path
+/// does for every tainted read) is a reference-count bump and a value
+/// stays three words wide. `Arc` rather than `Rc` keeps machines
+/// `Send`.
+#[derive(Debug, Clone, Default)]
+pub struct Deps(Option<Arc<[u64]>>);
 
 impl Deps {
     /// The empty set.
     pub const fn new() -> Self {
-        Deps(DepsRepr::Inline {
-            len: 0,
-            buf: [0; DEPS_INLINE],
-        })
+        Deps(None)
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        self.0.as_deref().unwrap_or(&[])
     }
 
     /// Number of timestamps.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            DepsRepr::Inline { len, .. } => *len as usize,
-            DepsRepr::Heap(s) => s.len(),
-        }
+        self.as_slice().len()
     }
 
     /// True when no input is depended on.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_none()
     }
 
     /// True when `t` is in the set.
     pub fn contains(&self, t: u64) -> bool {
-        match &self.0 {
-            DepsRepr::Inline { len, buf } => buf[..*len as usize].binary_search(&t).is_ok(),
-            DepsRepr::Heap(s) => s.contains(&t),
-        }
+        self.as_slice().binary_search(&t).is_ok()
     }
 
     /// Inserts `t`, returning true when it was new.
     pub fn insert(&mut self, t: u64) -> bool {
-        match &mut self.0 {
-            DepsRepr::Inline { len, buf } => {
-                let n = *len as usize;
-                match buf[..n].binary_search(&t) {
-                    Ok(_) => false,
-                    Err(pos) => {
-                        if n < DEPS_INLINE {
-                            buf.copy_within(pos..n, pos + 1);
-                            buf[pos] = t;
-                            *len += 1;
-                        } else {
-                            let mut s: BTreeSet<u64> = buf.iter().copied().collect();
-                            s.insert(t);
-                            self.0 = DepsRepr::Heap(s);
-                        }
-                        true
-                    }
-                }
+        let s = self.as_slice();
+        match s.binary_search(&t) {
+            Ok(_) => false,
+            Err(pos) => {
+                let mut v = Vec::with_capacity(s.len() + 1);
+                v.extend_from_slice(&s[..pos]);
+                v.push(t);
+                v.extend_from_slice(&s[pos..]);
+                self.0 = Some(v.into());
+                true
             }
-            DepsRepr::Heap(s) => s.insert(t),
         }
     }
 
     /// Iterates the timestamps in ascending order.
-    pub fn iter(&self) -> DepsIter<'_> {
-        match &self.0 {
-            DepsRepr::Inline { len, buf } => DepsIter::Inline(buf[..*len as usize].iter()),
-            DepsRepr::Heap(s) => DepsIter::Heap(s.iter()),
+    pub fn iter(&self) -> std::slice::Iter<'_, u64> {
+        self.as_slice().iter()
+    }
+
+    /// The union of two sets. When one side already covers the other
+    /// (the common case: equal sets, or a set joined with the empty
+    /// set) the result shares that side's slice; only a genuinely new
+    /// set allocates.
+    pub fn union(&self, other: &Deps) -> Deps {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        if covers(a, b) {
+            return self.clone();
         }
+        if covers(b, a) {
+            return other.clone();
+        }
+        let mut v = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    v.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    v.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    v.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        v.extend_from_slice(&a[i..]);
+        v.extend_from_slice(&b[j..]);
+        Deps(Some(v.into()))
     }
 }
 
-/// Borrowing iterator over a [`Deps`] set, ascending.
-pub enum DepsIter<'a> {
-    /// Inline storage.
-    Inline(std::slice::Iter<'a, u64>),
-    /// Spilled storage.
-    Heap(std::collections::btree_set::Iter<'a, u64>),
-}
-
-impl<'a> Iterator for DepsIter<'a> {
-    type Item = &'a u64;
-    fn next(&mut self) -> Option<&'a u64> {
-        match self {
-            DepsIter::Inline(i) => i.next(),
-            DepsIter::Heap(i) => i.next(),
-        }
+/// True when sorted set `a` contains every element of sorted set `b`.
+fn covers(a: &[u64], b: &[u64]) -> bool {
+    if b.len() > a.len() {
+        return false;
     }
+    if std::ptr::eq(a, b) {
+        return true;
+    }
+    let mut rest = a;
+    b.iter().all(|t| match rest.binary_search(t) {
+        Ok(k) => {
+            rest = &rest[k + 1..];
+            true
+        }
+        Err(_) => false,
+    })
 }
 
 impl PartialEq for Deps {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+        self.as_slice() == other.as_slice()
     }
 }
 
@@ -159,9 +157,13 @@ impl FromIterator<u64> for Deps {
 
 impl Extend<u64> for Deps {
     fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        for t in iter {
-            self.insert(t);
+        let mut add: Vec<u64> = iter.into_iter().collect();
+        if add.is_empty() {
+            return;
         }
+        add.sort_unstable();
+        add.dedup();
+        *self = self.union(&Deps(Some(add.into())));
     }
 }
 
@@ -169,9 +171,7 @@ impl IntoIterator for Deps {
     type Item = u64;
     type IntoIter = std::vec::IntoIter<u64>;
     fn into_iter(self) -> Self::IntoIter {
-        // Only used on cold paths (set unions through `Extend` stay
-        // borrow-based); collecting keeps the iterator type simple.
-        self.iter().copied().collect::<Vec<u64>>().into_iter()
+        self.as_slice().to_vec().into_iter()
     }
 }
 
@@ -203,9 +203,10 @@ impl Tainted {
 
     /// Combines two operands: the result depends on both.
     pub fn combine(value: i64, a: &Tainted, b: &Tainted) -> Self {
-        let mut deps = a.deps.clone();
-        deps.extend(b.deps.iter().copied());
-        Tainted { value, deps }
+        Tainted {
+            value,
+            deps: a.deps.union(&b.deps),
+        }
     }
 }
 
@@ -856,6 +857,77 @@ mod tests {
         let c = Tainted::combine(7, &a, &b);
         assert_eq!(c.value, 7);
         assert_eq!(c.deps, Deps::from([10, 20]));
+    }
+
+    #[test]
+    fn a_tainted_value_is_three_words() {
+        assert!(std::mem::size_of::<Tainted>() <= 24);
+    }
+
+    #[test]
+    fn union_shares_a_covering_side() {
+        let big = Deps::from([3, 5, 9]);
+        let small = Deps::from([5]);
+        let shares = |u: &Deps, side: &Deps| match (&u.0, &side.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert!(shares(&big.union(&small), &big));
+        assert!(shares(&small.union(&big), &big));
+        assert!(shares(&big.union(&Deps::new()), &big));
+        assert!(shares(&Deps::new().union(&big), &big));
+        assert!(shares(&big.union(&big.clone()), &big));
+        // Neither side covers the other: a new, merged set.
+        let other = Deps::from([1, 9, 12]);
+        let u = big.union(&other);
+        assert!(!shares(&u, &big) && !shares(&u, &other));
+        assert_eq!(u, Deps::from([1, 3, 5, 9, 12]));
+    }
+
+    #[test]
+    fn the_empty_set_is_canonical_after_every_operation() {
+        let empty = Deps::new();
+        assert!(empty.0.is_none() && empty.is_empty());
+        assert!(empty.union(&Deps::new()).0.is_none());
+        assert!(Deps::from([]).0.is_none());
+        assert!(std::iter::empty::<u64>().collect::<Deps>().0.is_none());
+        let mut d = Deps::new();
+        d.extend([]);
+        assert!(d.0.is_none());
+        assert!(Deps::default().0.is_none());
+        assert!(Tainted::pure(4).deps.0.is_none());
+        assert!(Tainted::combine(0, &Tainted::pure(1), &Tainted::pure(2))
+            .deps
+            .0
+            .is_none());
+    }
+
+    #[test]
+    fn deps_iterate_ascending_and_deduplicated() {
+        let d: Deps = [9, 2, 7, 2, 9, 1].into_iter().collect();
+        assert_eq!(d.iter().copied().collect::<Vec<_>>(), vec![1, 2, 7, 9]);
+        assert_eq!(d.clone().into_iter().collect::<Vec<_>>(), vec![1, 2, 7, 9]);
+        let u = Deps::from([8, 3]).union(&Deps::from([5, 1, 8]));
+        assert_eq!(u.iter().copied().collect::<Vec<_>>(), vec![1, 3, 5, 8]);
+        assert_eq!(u.len(), 4);
+        assert!(u.contains(5) && !u.contains(4));
+    }
+
+    #[test]
+    fn inserted_and_unioned_sets_are_equal() {
+        let mut by_insert = Deps::new();
+        for t in [40, 10, 30, 20, 10] {
+            by_insert.insert(t);
+        }
+        assert!(!by_insert.insert(30), "already present");
+        let by_union = Deps::from([10, 30])
+            .union(&Deps::from([20]))
+            .union(&Deps::from([40, 20]));
+        assert_eq!(by_insert, by_union);
+        assert_ne!(by_insert, Deps::from([10, 20, 30]));
+        let mut extended = Deps::from([20, 40]);
+        extended.extend([30, 10]);
+        assert_eq!(extended, by_union);
     }
 
     #[test]

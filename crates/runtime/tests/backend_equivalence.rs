@@ -8,14 +8,17 @@
 //! assert the two backends agree on statistics, committed traces, and
 //! run outcomes — step for step, not just in aggregate.
 
-use ocelot_hw::energy::CostModel;
-use ocelot_hw::power::{ContinuousPower, PowerSupply, ScriptedPower};
+use ocelot_hw::energy::{Capacitor, CostModel, PowerEvent};
+use ocelot_hw::harvest::Harvester;
+use ocelot_hw::power::{ContinuousPower, HarvestedPower, PowerSupply, ScriptedPower};
 use ocelot_hw::sensors::{Environment, Signal};
 use ocelot_ir::{compile, Program};
 use ocelot_runtime::machine::{pathological_targets, Machine, RunOutcome};
 use ocelot_runtime::obs::Obs;
 use ocelot_runtime::ExecBackend;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn build(
     src: &str,
@@ -572,4 +575,153 @@ fn repeated_multi_path_stacks_rebuild_dynamic_chains_identically() {
     let deep: Vec<_> = distinct.iter().filter(|c| c.len() == 3).collect();
     assert_eq!(deep[0][2], deep[1][2], "same input op at the bottom");
     assert_ne!(deep[0][..2], deep[1][..2], "different call paths");
+}
+
+/// A compute-heavy loop over calls, arrays, a region and cheap samples:
+/// long batchable runs between the few checked steps.
+const HARVESTED_SRC: &str = r#"
+    nv acc = 0;
+    nv table[8];
+    sensor s;
+    fn mix(a, b) { return a * 3 + b % 7; }
+    fn main() {
+        let i = 0;
+        repeat 40 {
+            let v = in(s);
+            let m = mix(v, i);
+            table[i % 8] = m;
+            acc = acc + table[i % 8] - i;
+            i = i + 1;
+        }
+        atomic { acc = acc + 1; }
+        out(log, acc);
+    }
+"#;
+
+/// A small bank with boot jitter: each on-interval spends a few
+/// thousand nJ from a fractional starting level, so the comparator
+/// trips inside a batch on most intervals.
+fn small_jittered_bank(seed: u64) -> HarvestedPower {
+    HarvestedPower::new(
+        Capacitor::new(6_000.0, 1_500.0),
+        Harvester::powercast_at_10in(),
+    )
+    .with_boot_jitter(seed, 0.6)
+}
+
+#[test]
+fn harvested_batches_straddling_the_trigger_agree() {
+    let (p, policies, regions) = build(HARVESTED_SRC);
+    let env = Environment::new().with(
+        "s",
+        Signal::Noisy {
+            base: Box::new(Signal::Constant(7)),
+            amplitude: 3,
+            seed: 4,
+        },
+    );
+    let costs = CostModel::default().with_input_cost("s", 40);
+    for seed in 0..12u64 {
+        let mk = |backend| {
+            let mut m = Machine::new(
+                &p,
+                &regions,
+                policies.clone(),
+                env.clone(),
+                costs.clone(),
+                Box::new(small_jittered_bank(seed)),
+            )
+            .with_backend(backend);
+            let outcome: Vec<_> = (0..3).map(|_| m.run_once(1_000_000)).collect();
+            RunResult {
+                outcome,
+                stats: m.stats().clone(),
+                trace: m.take_trace(),
+            }
+        };
+        let interp = mk(ExecBackend::Interp);
+        let compiled = mk(ExecBackend::Compiled);
+        assert_eq!(interp.outcome, compiled.outcome, "seed {seed}");
+        assert_eq!(interp.stats, compiled.stats, "seed {seed}");
+        assert_eq!(interp.trace, compiled.trace, "seed {seed}");
+        assert!(
+            interp.stats.reboots >= 3,
+            "seed {seed}: every run fails at least once, got {} reboots",
+            interp.stats.reboots
+        );
+    }
+}
+
+/// Counts the draws a machine makes, forwarding them to a real supply.
+struct CountingSupply {
+    inner: HarvestedPower,
+    singles: Arc<AtomicU64>,
+    batches: Arc<AtomicU64>,
+}
+
+impl PowerSupply for CountingSupply {
+    fn consume(&mut self, energy_nj: f64) -> PowerEvent {
+        self.singles.fetch_add(1, Ordering::Relaxed);
+        self.inner.consume(energy_nj)
+    }
+
+    fn consume_batch(&mut self, energy_nj: f64) -> bool {
+        let drawn = self.inner.consume_batch(energy_nj);
+        if drawn {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+        }
+        drawn
+    }
+
+    fn recharge(&mut self) -> u64 {
+        self.inner.recharge()
+    }
+}
+
+#[test]
+fn harvested_compiled_runs_take_batched_draws() {
+    let (p, policies, regions) = build(HARVESTED_SRC);
+    let env = Environment::new().with("s", Signal::Constant(5));
+    let costs = CostModel::default().with_input_cost("s", 40);
+    let draws = |backend| {
+        let (singles, batches) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let supply = CountingSupply {
+            inner: small_jittered_bank(1),
+            singles: Arc::clone(&singles),
+            batches: Arc::clone(&batches),
+        };
+        let mut m = Machine::new(
+            &p,
+            &regions,
+            policies.clone(),
+            env.clone(),
+            costs.clone(),
+            Box::new(supply),
+        )
+        .with_backend(backend);
+        for _ in 0..2 {
+            m.run_once(1_000_000);
+        }
+        let stats = m.stats().clone();
+        (
+            singles.load(Ordering::Relaxed),
+            batches.load(Ordering::Relaxed),
+            stats,
+        )
+    };
+    let (interp_singles, interp_batches, interp_stats) = draws(ExecBackend::Interp);
+    let (singles, batches, stats) = draws(ExecBackend::Compiled);
+    assert_eq!(stats, interp_stats);
+    assert!(stats.reboots > 0, "the bank really is harvested");
+    assert_eq!(interp_batches, 0, "the interpreter draws per step");
+    assert!(interp_singles >= stats.instructions);
+    assert!(
+        batches > 0,
+        "the compiled engine batched on harvested power"
+    );
+    assert!(
+        singles + batches < stats.instructions,
+        "{singles} single + {batches} batched draws for {} instructions",
+        stats.instructions
+    );
 }
